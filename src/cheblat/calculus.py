@@ -1,11 +1,14 @@
 """Interpolant evaluation, spectral differentiation and quadrature.
 
 Interpolants are coefficient vectors over a lattice's basis.  Evaluation
-is direct cosine accumulation; differentiation runs the first-kind
-coefficient recurrence along per-axis chains of the (non-rectangular)
-index set; integration applies the adjoint transform to the vector of
-basis integrals, which yields a stencil that integrates every basis
-polynomial exactly.
+sums the series by tensor sum factorization over per-axis Chebyshev
+tables built with the three-term recurrence, in chunks of points of a
+fixed size, so its working memory does not grow with the point count;
+``ChebyshevLattice.basis_matrix`` stays the dense reference.
+Differentiation runs the first-kind coefficient recurrence along
+per-axis chains of the (non-rectangular) index set; integration applies
+the adjoint transform to the vector of basis integrals, which yields a
+stencil that integrates every basis polynomial exactly.
 """
 
 from __future__ import annotations
@@ -15,7 +18,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .lattice import ChebyshevLattice
-from .transform import TransformPlan, adjoint, forward, plan as make_plan
+# ``make_plan`` stays a module attribute: perfbench/tracer.py wraps calculus.make_plan.
+from .transform import TransformPlan, adjoint, forward, plan as make_plan  # noqa: F401
 
 
 class CalculusError(ValueError):
@@ -46,17 +50,75 @@ def interpolate(plan: TransformPlan, samples) -> Interpolant:
     return Interpolant(plan.lattice, forward(plan, samples))
 
 
+# Evaluation chunk budget in floats (8 MB).  The chunk's row count is set so
+# that the (prefix x points) accumulator, the gathered prefix table and the
+# stacked per-axis tables each stay within it.
+_CHUNK_ELEMENTS = 1 << 20
+
+
+def _chebyshev_table(x: np.ndarray, kmax: int) -> np.ndarray:
+    """Rows ``T_0(x), ..., T_kmax(x)``, shape (kmax + 1, len(x)).
+
+    Built by the three-term recurrence ``T_{k+1} = 2x T_k - T_{k-1}``
+    (Clenshaw 1955), which is stable on [-1, 1].
+    """
+    table = np.empty((kmax + 1, x.size))
+    table[0] = 1.0
+    if kmax:
+        table[1] = x
+    x2 = 2.0 * x
+    for k in range(2, kmax + 1):
+        np.multiply(x2, table[k - 1], out=table[k])
+        table[k] -= table[k - 2]
+    return table
+
+
 def evaluate(interp: Interpolant, x) -> float | np.ndarray:
-    """Evaluate at one point or an (npts, dim) array of points in the cube."""
+    """Evaluate at one point or an (npts, dim) array of points in the cube.
+
+    Sum factorization (Orszag 1980): basis members are grouped by their
+    first ``dim - 1`` components, the prefix, and their coefficients are
+    scattered into a dense (prefix x last-axis degree) matrix.  Per chunk
+    of points one matrix product with the last axis's Chebyshev table
+    contracts that axis; each prefix row is then scaled by the other
+    axes' tables and the rows are summed.  Tie entries contribute every
+    member with the entry's coefficient, as in ``basis_matrix``.  The
+    chunk size keeps working memory independent of the point count.
+    """
+    lattice = interp.lattice
     x = np.asarray(x, dtype=float)
     single = x.ndim == 1
     pts = np.atleast_2d(x)
-    if pts.shape[1] != interp.lattice.dim:
-        raise CalculusError(f"points must have dim {interp.lattice.dim}")
+    if pts.ndim != 2 or pts.shape[1] != lattice.dim:
+        raise CalculusError(f"points must have dim {lattice.dim}")
+    if not np.all(np.isfinite(pts)):
+        raise CalculusError("evaluation points must be finite")
     if np.any(np.abs(pts) > 1.0 + 1e-12):
         raise CalculusError("evaluation point outside [-1, 1]^d")
-    thetas = np.arccos(np.clip(pts, -1.0, 1.0))
-    vals = interp.lattice.basis_matrix(thetas) @ interp.coeffs
+    pts = np.clip(pts, -1.0, 1.0)
+
+    members, owners = lattice.basis_member_matrix()
+    kmax = members.max(axis=0)
+    key = np.zeros(len(members), dtype=np.int64)
+    for axis in range(lattice.dim - 1):
+        key = key * (kmax[axis] + 1) + members[:, axis]
+    _, first, row = np.unique(key, return_index=True, return_inverse=True)
+    prefixes = members[first, :-1]
+    width = int(kmax[-1]) + 1
+    coeffs = np.bincount(
+        row * width + members[:, -1],
+        weights=interp.coeffs[owners],
+        minlength=len(prefixes) * width,
+    ).reshape(len(prefixes), width)
+
+    vals = np.empty(len(pts))
+    step = max(1, _CHUNK_ELEMENTS // max(len(prefixes), int(kmax.sum()) + lattice.dim))
+    for lo in range(0, len(pts), step):
+        chunk = pts[lo : lo + step]
+        acc = coeffs @ _chebyshev_table(chunk[:, -1], int(kmax[-1]))
+        for axis in range(lattice.dim - 1):
+            acc *= _chebyshev_table(chunk[:, axis], int(kmax[axis]))[prefixes[:, axis]]
+        vals[lo : lo + step] = acc.sum(axis=0)
     return float(vals[0]) if single else vals
 
 
@@ -76,16 +138,14 @@ class DiffPlan:
     chain_starts: list[np.ndarray]
 
 
-def _diff_plan(lattice: ChebyshevLattice) -> DiffPlan:
-    if getattr(lattice, "_diff_plan", None) is not None:
-        return lattice._diff_plan
-    members, _ = lattice.basis_member_matrix()
+def _diff_plan(members: np.ndarray) -> DiffPlan:
+    dim = members.shape[1]
     orders = []
     starts = []
-    for axis in range(lattice.dim):
-        rest = [members[:, a] for a in range(lattice.dim) if a != axis]
+    for axis in range(dim):
+        rest = [members[:, a] for a in range(dim) if a != axis]
         order = np.lexsort([members[:, axis]] + rest)
-        sorted_rest = members[order][:, [a for a in range(lattice.dim) if a != axis]]
+        sorted_rest = members[order][:, [a for a in range(dim) if a != axis]]
         if sorted_rest.shape[1]:
             change = np.any(sorted_rest[1:] != sorted_rest[:-1], axis=1)
             cs = np.flatnonzero(np.r_[True, change])
@@ -93,8 +153,7 @@ def _diff_plan(lattice: ChebyshevLattice) -> DiffPlan:
             cs = np.array([0])
         orders.append(order)
         starts.append(cs)
-    lattice._diff_plan = DiffPlan(orders=orders, chain_starts=starts)
-    return lattice._diff_plan
+    return DiffPlan(orders=orders, chain_starts=starts)
 
 
 def _chain_derivative(degs: np.ndarray, coefs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -124,8 +183,8 @@ def differentiate(interp: Interpolant, axis: int) -> Interpolant:
     lattice = interp.lattice
     if not 0 <= axis < lattice.dim:
         raise CalculusError(f"axis {axis} out of range for dim {lattice.dim}")
-    dplan = _diff_plan(lattice)
     members, owners = lattice.basis_member_matrix()
+    dplan = _diff_plan(members)
     mcoefs = interp.coeffs[owners]
     order = dplan.orders[axis]
     starts = dplan.chain_starts[axis]
@@ -225,12 +284,3 @@ def stencil_to_csv(stencil: QuadratureStencil) -> str:
         cols = [format(c, ".17g") for c in pt] + [format(w, ".17g")]
         lines.append(",".join(cols))
     return "\n".join(lines) + "\n"
-
-
-def make_interpolant(lattice: ChebyshevLattice, samples) -> Interpolant:
-    """Convenience: plan + forward in one call (plans are cached per lattice)."""
-    cached = getattr(lattice, "_plan_cache", None)
-    if cached is None:
-        cached = make_plan(lattice)
-        lattice._plan_cache = cached
-    return interpolate(cached, samples)

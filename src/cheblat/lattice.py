@@ -577,9 +577,6 @@ class ChebyshevLattice:
             return math.sqrt(2.0) * 2 * self.resolution
         return 0.5 * _min_vector_norm(self.reciprocal.Q)
 
-    def theta_fractions(self) -> list[tuple[Fraction, ...]]:
-        return self.point_fractions
-
 
 def _min_vector_norm(Q: np.ndarray, zmax: int = 3) -> float:
     """Norm of the shortest nonzero integer combination of the rows of Q."""

@@ -1,4 +1,6 @@
+import functools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -68,6 +70,134 @@ def test_evaluate_reflection_invariance():
     v1 = calc.evaluate(interp, X)
     v2 = calc.evaluate(interp, X.copy())
     assert np.array_equal(v1, v2)
+
+
+EVAL_FAMILIES = [
+    ("cartesian", 1, 9),
+    ("cartesian", 2, 5),
+    ("cartesian", 3, 4),
+    ("padua", 2, 5),
+    ("hex", 2, 3),
+    ("hex", 2, 16),
+    ("bcc", 3, 3),
+    ("fcc", 3, 2),
+    ("composite-oct7", 2, 2),
+]
+
+
+@functools.lru_cache(maxsize=None)
+def built(family, dim, res):
+    return lat.build(family, dim, res)
+
+
+@pytest.mark.parametrize("family,dim,res", EVAL_FAMILIES)
+def test_evaluate_matches_dense_basis_matrix(family, dim, res):
+    L = built(family, dim, res)
+    rng = np.random.default_rng(5)
+    c = rng.standard_normal(len(L.basis))
+    interp = calc.Interpolant(L, c)
+    X = rng.uniform(-1, 1, (300, dim))
+    X[:20] = rng.choice([-1.0, 1.0], (20, dim))
+    X[20:40, -1] = 1.0
+    X[40:60, 0] = -1.0
+    ref = L.basis_matrix(np.arccos(X)) @ c
+    tol = 1e-13 * np.max(np.abs(ref))
+    vals = calc.evaluate(interp, X)
+    assert vals.shape == (300,)
+    assert np.max(np.abs(vals - ref)) <= tol
+    one = calc.evaluate(interp, X[25])
+    assert isinstance(one, float)
+    assert abs(one - ref[25]) <= tol
+    empty = calc.evaluate(interp, np.empty((0, dim)))
+    assert isinstance(empty, np.ndarray) and empty.shape == (0,)
+    # inside the 1e-12 slack, points are clipped onto the face
+    nudged = X[20:40].copy()
+    nudged[:, -1] += 5e-13
+    assert np.max(np.abs(calc.evaluate(interp, nudged) - ref[20:40])) <= tol
+
+
+def test_evaluate_tie_entry_sums_members():
+    # the BCC tie T2(x)+T2(y)+T2(z), against numpy's Chebyshev series
+    L = built("bcc", 3, 2)
+    ties = [i for i, e in enumerate(L.basis) if e.is_tie]
+    assert ties
+    c = np.zeros(len(L.basis))
+    c[ties[0]] = 1.0
+    X = np.random.default_rng(6).uniform(-1, 1, (50, 3))
+    expect = np.zeros(50)
+    for member in L.basis[ties[0]].members:
+        term = np.ones(50)
+        for axis, k in enumerate(member):
+            term *= np.polynomial.chebyshev.chebval(X[:, axis], np.eye(k + 1)[k])
+        expect += term
+    assert np.max(np.abs(calc.evaluate(calc.Interpolant(L, c), X) - expect)) < 1e-13
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    case=st.sampled_from([c for c in EVAL_FAMILIES if c != ("hex", 2, 16)]),
+    # multiples of 0.01 keep a * c out of the subnormal range
+    a=st.integers(-400, 400).map(lambda n: n / 100),
+    b=st.integers(-400, 400).map(lambda n: n / 100),
+    seed=st.integers(0, 2**31),
+)
+def test_evaluate_linear_in_coefficients(case, a, b, seed):
+    L = built(*case)
+    rng = np.random.default_rng(seed)
+    c1 = rng.standard_normal(len(L.basis))
+    c2 = rng.standard_normal(len(L.basis))
+    X = rng.uniform(-1, 1, (40, case[1]))
+    lhs = calc.evaluate(calc.Interpolant(L, a * c1 + b * c2), X)
+    rhs = a * calc.evaluate(calc.Interpolant(L, c1), X) + b * calc.evaluate(
+        calc.Interpolant(L, c2), X
+    )
+    # |T_k| <= 1, so the l1 norm of the member coefficients bounds |p|
+    _, owners = L.basis_member_matrix()
+    scale = abs(a) * np.abs(c1[owners]).sum() + abs(b) * np.abs(c2[owners]).sum()
+    assert np.max(np.abs(lhs - rhs)) <= 1e-14 * scale
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_evaluate_rejects_non_finite(bad):
+    L, P = make("padua", 2, 3)
+    interp = calc.interpolate(P, np.ones(L.npoints))
+    with pytest.raises(calc.CalculusError, match="finite"):
+        calc.evaluate(interp, np.array([bad, 0.0]))
+    with pytest.raises(calc.CalculusError, match="finite"):
+        calc.evaluate(interp, np.array([[0.1, 0.2], [0.0, bad]]))
+
+
+def test_evaluate_rejects_bad_shape():
+    L, P = make("bcc", 3, 3)
+    interp = calc.interpolate(P, np.ones(L.npoints))
+    for bad in (np.zeros(2), np.zeros((4, 2)), np.zeros((2, 3, 3))):
+        with pytest.raises(calc.CalculusError, match="dim"):
+            calc.evaluate(interp, bad)
+
+
+def test_evaluate_memory_bounded():
+    # the dense (npts x members) basis matrix would need about 3.3 GB here
+    L = built("bcc", 3, 24)
+    interp = calc.Interpolant(L, np.random.default_rng(7).standard_normal(len(L.basis)))
+    X = np.random.default_rng(8).uniform(-1, 1, (100_000, 3))
+    tracemalloc.start()
+    try:
+        vals = calc.evaluate(interp, X)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert vals.shape == (100_000,) and np.all(np.isfinite(vals))
+    assert peak < 64 * 2**20
+
+
+def test_evaluate_and_differentiate_write_no_attributes():
+    L, P = make("bcc", 3, 3)
+    interp = calc.interpolate(P, np.random.default_rng(9).standard_normal(L.npoints))
+    L.basis_index_of((0, 0, 0))  # builds the lattice's own index lookup
+    before = (set(vars(L)), set(vars(P)), set(vars(interp)))
+    calc.evaluate(interp, np.zeros((3, 3)))
+    calc.differentiate(interp, 1)
+    assert (set(vars(L)), set(vars(P)), set(vars(interp))) == before
 
 
 # ------------------------------------------------------------ derivative

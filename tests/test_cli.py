@@ -107,6 +107,16 @@ def test_transform_eval_diff_round_trip(tmp_path):
     assert abs(float(out.strip().split(",")[-1]) - 0.4 * np.exp(0.12) * np.cos(-0.2)) < 1e-5
 
 
+def test_eval_non_finite_point_exits_1(tmp_path, capsys):
+    L = lat.build("padua", 2, 3)
+    cfile = tmp_path / "c.csv"
+    cfile.write_text(tf.coefficients_to_csv(L, np.ones(len(L.basis))))
+    rc = main(["eval", "--family", "padua", "--dim", "2", "--resolution", "3",
+               "--coeffs", str(cfile), "--at=nan,0"])
+    assert rc == 1
+    assert "finite" in capsys.readouterr().err
+
+
 def test_padua_method_matches_default(tmp_path):
     L = lat.build("padua", 2, 6)
     rng = np.random.default_rng(0)
