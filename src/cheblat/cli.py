@@ -206,7 +206,8 @@ def _parser() -> argparse.ArgumentParser:
     _add_lattice_args(sp)
     sp.add_argument("--samples", required=True, help="input sample CSV")
     sp.add_argument("--method", choices=("sublattice", "padua"), default="sublattice",
-                    help="padua: endpoint-grid interleaving path (Padua family only)")
+                    help="both give the same coefficients; padua also checks the lattice "
+                         "is Padua")
     sp.add_argument("--out")
     sp.set_defaults(func=_cmd_transform)
 

@@ -29,12 +29,16 @@ factors only.
 
 Types I and II are computed with :mod:`scipy.fft`; the type V transforms,
 which common FFT packages do not provide, are computed by embedding the
-reflected data in a complex FFT of length ``2n - 1``.
+reflected data in a complex FFT of length ``2n - 1``.  `GridDCT` is the
+planned n-d operator (forward, inverse and adjoint of one tensor-product
+grid); `dct_nd`, `idct_nd` and `adjoint_dct_nd` are thin checked calls to
+it, and the transforms in :mod:`cheblat.transform` hold one per sublattice.
 """
 
 from __future__ import annotations
 
 import enum
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -176,6 +180,22 @@ def node_weights(n: int, boundary: BoundaryType) -> np.ndarray:
     return w
 
 
+def _halving(n: int, boundary: BoundaryType) -> np.ndarray:
+    """Synthesis factor ``h``: 1/2 on every mode that appears twice on the circle.
+
+    The analysis is ``a/2`` times the unscaled forward transform (DCT-I,
+    DCT-II or the type V FFT), the synthesis is the unscaled backward
+    transform (DCT-I, DCT-III or the inverse type V FFT) of ``h * c``, and
+    the adjoint is ``w`` times the unscaled synthesis of ``a * h * u``, with
+    ``a`` = `analysis_prefactor` and ``w`` = `node_weights`.
+    """
+    half = np.full(n, 0.5)
+    half[0] = 1.0
+    if boundary is BoundaryType.TYPE_I:
+        half[-1] = 1.0
+    return half
+
+
 def _reflect_index(n: int, boundary: BoundaryType) -> np.ndarray:
     """Index map unfolding samples to the full circle (type V only)."""
     if boundary is BoundaryType.TYPE_V_MINUS:
@@ -186,36 +206,60 @@ def _reflect_index(n: int, boundary: BoundaryType) -> np.ndarray:
 
 
 def _dct_v_axis(values: np.ndarray, boundary: BoundaryType, axis: int) -> np.ndarray:
+    """Unscaled type V analysis: ``sum_j g_j cos(k theta_j)`` over the full circle."""
     n = values.shape[axis]
-    N = 2 * n - 1
     g = np.take(values, _reflect_index(n, boundary), axis=axis)
-    G = scipy.fft.fft(g, axis=axis)
-    G = np.moveaxis(G, axis, -1)[..., :n]
+    G = np.moveaxis(scipy.fft.fft(g, axis=axis), axis, -1)[..., :n]
     if boundary is BoundaryType.TYPE_V_PLUS:
-        G = G * np.exp(-1j * np.pi * np.arange(n) / N)
-    coeffs = G.real * analysis_prefactor(n, boundary) / 2.0
-    # prefactor absorbs both the 1/N and the half-sum duplication:
-    # a_k/2 * G_k = (2 - delta_k0) G_k / N
-    return np.moveaxis(coeffs, -1, axis)
+        G = G * np.exp(-1j * np.pi * np.arange(n) / (2 * n - 1))
+    return np.moveaxis(G.real, -1, axis)
 
 
-def _idct_v_axis(coeffs: np.ndarray, boundary: BoundaryType, axis: int) -> np.ndarray:
-    n = coeffs.shape[axis]
+def _idct_v_axis(halved: np.ndarray, boundary: BoundaryType, axis: int) -> np.ndarray:
+    """Unscaled type V synthesis of coefficients already multiplied by ``h``."""
+    n = halved.shape[axis]
     N = 2 * n - 1
-    c = np.moveaxis(coeffs, axis, -1)
-    S = np.zeros(c.shape[:-1] + (N,), dtype=complex)
-    S[..., 0] = c[..., 0]
-    if n > 1:
-        S[..., 1:n] = c[..., 1:] / 2.0
-        if boundary is BoundaryType.TYPE_V_MINUS:
-            S[..., n:] = c[..., -1:0:-1] / 2.0
-        else:
-            # raw index N - k carries -exp(-ik theta) on the half-offset grid
-            S[..., n:] = -c[..., -1:0:-1] / 2.0
-    if boundary is BoundaryType.TYPE_V_PLUS:
-        S = S * np.exp(1j * np.pi * np.arange(N) / N)
-    samples = scipy.fft.ifft(S, axis=-1).real * N
-    return np.moveaxis(samples[..., :n], -1, axis)
+    c = np.moveaxis(halved, axis, -1)
+    S = np.empty(c.shape[:-1] + (N,), dtype=complex)
+    S[..., :n] = c
+    if boundary is BoundaryType.TYPE_V_MINUS:
+        S[..., n:] = c[..., -1:0:-1]
+    else:
+        # raw index N - k carries -exp(-ik theta) on the half-offset grid
+        S[..., n:] = -c[..., -1:0:-1]
+        S *= np.exp(1j * np.pi * np.arange(N) / N)
+    samples = scipy.fft.ifft(S, axis=-1, norm="forward")[..., :n].real
+    return np.moveaxis(samples, -1, axis)
+
+
+def _analysis_axis(values: np.ndarray, boundary: BoundaryType, axis: int) -> np.ndarray:
+    if boundary is BoundaryType.TYPE_I:
+        return scipy.fft.dct(values, type=1, axis=axis)
+    if boundary is BoundaryType.TYPE_II:
+        return scipy.fft.dct(values, type=2, axis=axis)
+    return _dct_v_axis(values, boundary, axis)
+
+
+def _synthesis_axis(halved: np.ndarray, boundary: BoundaryType, axis: int) -> np.ndarray:
+    if boundary is BoundaryType.TYPE_I:
+        return scipy.fft.dct(halved, type=1, axis=axis)
+    if boundary is BoundaryType.TYPE_II:
+        return scipy.fft.dct(halved, type=3, axis=axis)
+    return _idct_v_axis(halved, boundary, axis)
+
+
+def _along(values: np.ndarray, factor: np.ndarray, axis: int) -> np.ndarray:
+    """``values`` times a 1-d ``factor`` broadcast along ``axis``."""
+    shape = [1] * values.ndim
+    shape[axis] = factor.size
+    return values * factor.reshape(shape)
+
+
+def _check_axis_size(n: int, boundary: BoundaryType) -> None:
+    if n < 1:
+        raise ValueError(f"node count must be positive, got {n}")
+    if boundary is BoundaryType.TYPE_I and n < 2:
+        raise ValueError("TYPE_I requires at least 2 samples")
 
 
 def dct_axis(values: np.ndarray, boundary: BoundaryType, axis: int = -1) -> np.ndarray:
@@ -223,38 +267,17 @@ def dct_axis(values: np.ndarray, boundary: BoundaryType, axis: int = -1) -> np.n
     values = np.asarray(values, dtype=float)
     _check_finite(values)
     n = values.shape[axis]
-    if boundary is BoundaryType.TYPE_I:
-        if n < 2:
-            raise ValueError("TYPE_I requires at least 2 samples")
-        y = scipy.fft.dct(values, type=1, axis=axis)
-        shape = [1] * values.ndim
-        shape[axis] = n
-        return y * (analysis_prefactor(n, boundary) / 2.0).reshape(shape)
-    if boundary is BoundaryType.TYPE_II:
-        y = scipy.fft.dct(values, type=2, axis=axis)
-        shape = [1] * values.ndim
-        shape[axis] = n
-        return y * (analysis_prefactor(n, boundary) / 2.0).reshape(shape)
-    return _dct_v_axis(values, boundary, axis)
+    _check_axis_size(n, boundary)
+    a = analysis_prefactor(n, boundary)
+    return _along(_analysis_axis(values, boundary, axis), a / 2.0, axis)
 
 
 def idct_axis(coeffs: np.ndarray, boundary: BoundaryType, axis: int = -1) -> np.ndarray:
     """Synthesis transform along one axis: evaluate the cosine sum at the nodes."""
     coeffs = np.asarray(coeffs, dtype=float)
     n = coeffs.shape[axis]
-    if boundary is BoundaryType.TYPE_I:
-        z = coeffs.copy()
-        sl = [slice(None)] * coeffs.ndim
-        sl[axis] = slice(1, -1)
-        z[tuple(sl)] = z[tuple(sl)] / 2.0
-        return scipy.fft.dct(z, type=1, axis=axis)
-    if boundary is BoundaryType.TYPE_II:
-        z = coeffs.copy()
-        sl = [slice(None)] * coeffs.ndim
-        sl[axis] = slice(1, None)
-        z[tuple(sl)] = z[tuple(sl)] / 2.0
-        return scipy.fft.dct(z, type=3, axis=axis)
-    return _idct_v_axis(coeffs, boundary, axis)
+    _check_axis_size(n, boundary)
+    return _synthesis_axis(_along(coeffs, _halving(n, boundary), axis), boundary, axis)
 
 
 def adjoint_dct_axis(functional: np.ndarray, boundary: BoundaryType, axis: int = -1) -> np.ndarray:
@@ -265,11 +288,10 @@ def adjoint_dct_axis(functional: np.ndarray, boundary: BoundaryType, axis: int =
     """
     functional = np.asarray(functional, dtype=float)
     n = functional.shape[axis]
-    shape = [1] * functional.ndim
-    shape[axis] = n
-    scaled = functional * analysis_prefactor(n, boundary).reshape(shape)
-    out = idct_axis(scaled, boundary, axis=axis)
-    return out * node_weights(n, boundary).reshape(shape)
+    _check_axis_size(n, boundary)
+    ah = analysis_prefactor(n, boundary) * _halving(n, boundary)
+    synth = _synthesis_axis(_along(functional, ah, axis), boundary, axis)
+    return _along(synth, node_weights(n, boundary), axis)
 
 
 def dct_1d(values: np.ndarray, boundary: BoundaryType) -> np.ndarray:
@@ -299,52 +321,121 @@ def dct_typeV(values: np.ndarray, variant: BoundaryType) -> np.ndarray:
     values = np.asarray(values, dtype=float)
     if values.size == 0:
         raise ValueError("empty sample vector")
-    _check_finite(values)
-    return _dct_v_axis(values, variant, axis=-1)
+    return dct_axis(values, variant)
 
 
 def idct_typeV(coeffs: np.ndarray, variant: BoundaryType) -> np.ndarray:
     """Synthesis inverse of `dct_typeV`."""
     if variant not in (BoundaryType.TYPE_V_MINUS, BoundaryType.TYPE_V_PLUS):
         raise ValueError(f"variant must be a type V family, got {variant}")
-    return _idct_v_axis(np.asarray(coeffs, dtype=float), variant, axis=-1)
+    return idct_axis(coeffs, variant)
+
+
+class GridDCT:
+    """Planned separable transform of one tensor-product grid.
+
+    ``forward``, ``inverse`` and ``adjoint`` compute `dct_nd`, `idct_nd`
+    and `adjoint_dct_nd` for arrays of shape ``sizes``, without their input
+    checks.  All type I axes go through one ``dctn`` call and all type II
+    axes through another; type V axes are transformed one at a time.  The
+    diagonal scale tensors are built here, once, and are read-only, so one
+    operator can serve any number of threads.
+    """
+
+    __slots__ = ("sizes", "boundaries", "_dctn", "_type_v",
+                 "_analysis_scale", "_synthesis_scale", "_adjoint_scale", "_weights")
+
+    def __init__(self, sizes: tuple[int, ...], boundaries: tuple[BoundaryType, ...]):
+        sizes = tuple(int(n) for n in sizes)
+        boundaries = tuple(boundaries)
+        if not sizes or len(sizes) != len(boundaries):
+            raise ValueError(
+                f"grid needs one boundary type per axis, got {len(sizes)} axes "
+                f"and {len(boundaries)} boundary types"
+            )
+        for n, boundary in zip(sizes, boundaries):
+            _check_axis_size(n, boundary)
+        self.sizes = sizes
+        self.boundaries = boundaries
+        # (analysis DCT type, synthesis DCT type, axes); axes=None when the
+        # group is every axis, which spares scipy's per-call axes handling
+        dctn = []
+        for family, types in ((BoundaryType.TYPE_I, (1, 1)), (BoundaryType.TYPE_II, (2, 3))):
+            axes = tuple(ax for ax, b in enumerate(boundaries) if b is family)
+            if axes:
+                dctn.append(types + (None if len(axes) == len(sizes) else axes,))
+        self._dctn = tuple(dctn)
+        self._type_v = tuple(
+            (ax, b) for ax, b in enumerate(boundaries)
+            if b in (BoundaryType.TYPE_V_MINUS, BoundaryType.TYPE_V_PLUS)
+        )
+        a = [analysis_prefactor(n, b) for n, b in zip(sizes, boundaries)]
+        half = [_halving(n, b) for n, b in zip(sizes, boundaries)]
+        outer = functools.partial(functools.reduce, np.multiply.outer)  # factors -> tensor
+        self._analysis_scale = outer([ak / 2.0 for ak in a])
+        self._synthesis_scale = outer(half)
+        self._adjoint_scale = outer([ak * hk for ak, hk in zip(a, half)])
+        self._weights = outer([node_weights(n, b) for n, b in zip(sizes, boundaries)])
+        for t in (self._analysis_scale, self._synthesis_scale, self._adjoint_scale, self._weights):
+            t.flags.writeable = False
+
+    def forward(self, values: np.ndarray) -> np.ndarray:
+        """Coefficients of samples on the grid (unit recovery, as `dct_nd`)."""
+        x = values
+        for dct_type, _, axes in self._dctn:
+            x = scipy.fft.dctn(x, type=dct_type, axes=axes, overwrite_x=x is not values)
+        for ax, boundary in self._type_v:
+            x = _dct_v_axis(x, boundary, ax)
+        np.multiply(x, self._analysis_scale, out=x)
+        return x
+
+    def _synthesis(self, halved: np.ndarray) -> np.ndarray:
+        x = halved
+        for _, dct_type, axes in self._dctn:
+            x = scipy.fft.dctn(x, type=dct_type, axes=axes, overwrite_x=True)
+        for ax, boundary in self._type_v:
+            x = _idct_v_axis(x, boundary, ax)
+        return x
+
+    def inverse(self, coeffs: np.ndarray) -> np.ndarray:
+        """Samples on the grid of a coefficient tensor (as `idct_nd`)."""
+        return self._synthesis(coeffs * self._synthesis_scale)
+
+    def adjoint(self, functional: np.ndarray) -> np.ndarray:
+        """Transpose of `forward` (as `adjoint_dct_nd`)."""
+        x = self._synthesis(functional * self._adjoint_scale)
+        np.multiply(x, self._weights, out=x)
+        return x
+
+
+def _check_ndim(array: np.ndarray, boundaries: tuple[BoundaryType, ...]) -> None:
+    if array.ndim != len(boundaries):
+        raise ValueError(
+            f"tensor has {array.ndim} axes but {len(boundaries)} boundary types given"
+        )
 
 
 def dct_nd(values: np.ndarray, boundaries: tuple[BoundaryType, ...]) -> np.ndarray:
-    """Separable analysis transform: `dct_axis` applied along every axis.
+    """Separable analysis transform: `dct_axis` along every axis.
 
     Sampling ``prod_i cos(k_i theta_i)`` returns the unit tensor at
     multi-index ``k``; the result is independent of axis order.
     """
     values = np.asarray(values, dtype=float)
-    if values.ndim != len(boundaries):
-        raise ValueError(
-            f"tensor has {values.ndim} axes but {len(boundaries)} boundary types given"
-        )
+    _check_ndim(values, boundaries)
     _check_finite(values)
-    out = values
-    for ax, boundary in enumerate(boundaries):
-        out = dct_axis(out, boundary, axis=ax)
-    return out
+    return GridDCT(values.shape, boundaries).forward(values)
 
 
 def idct_nd(coeffs: np.ndarray, boundaries: tuple[BoundaryType, ...]) -> np.ndarray:
     """Separable synthesis transform, inverse of `dct_nd`."""
     coeffs = np.asarray(coeffs, dtype=float)
-    if coeffs.ndim != len(boundaries):
-        raise ValueError(
-            f"tensor has {coeffs.ndim} axes but {len(boundaries)} boundary types given"
-        )
-    out = coeffs
-    for ax, boundary in enumerate(boundaries):
-        out = idct_axis(out, boundary, axis=ax)
-    return out
+    _check_ndim(coeffs, boundaries)
+    return GridDCT(coeffs.shape, boundaries).inverse(coeffs)
 
 
 def adjoint_dct_nd(functional: np.ndarray, boundaries: tuple[BoundaryType, ...]) -> np.ndarray:
     """Separable transpose of `dct_nd`."""
     functional = np.asarray(functional, dtype=float)
-    out = functional
-    for ax, boundary in enumerate(boundaries):
-        out = adjoint_dct_axis(out, boundary, axis=ax)
-    return out
+    _check_ndim(functional, boundaries)
+    return GridDCT(functional.shape, boundaries).adjoint(functional)

@@ -344,18 +344,15 @@ class ChebyshevLattice:
         self.points = np.cos(self.point_thetas)
         self.npoints = fracs.shape[0]
         self._slot_base = np.cumsum([0] + [g.npoints for g in self._grids])
-        self._point_fractions = None
 
     @property
     def point_fractions(self) -> list[tuple[Fraction, ...]]:
-        """Node angles as exact fractions of pi (materialized lazily)."""
-        if self._point_fractions is None:
-            rows: list[tuple[Fraction, ...]] = []
-            for g in self._grids:
-                axes = [g.axis_fracs(ax) for ax in range(self.dim)]
-                rows.extend(itertools.product(*axes))
-            self._point_fractions = rows
-        return self._point_fractions
+        """Node angles as exact fractions of pi, computed on each access."""
+        rows: list[tuple[Fraction, ...]] = []
+        for g in self._grids:
+            axes = [g.axis_fracs(ax) for ax in range(self.dim)]
+            rows.extend(itertools.product(*axes))
+        return rows
 
     # ------------------------------------------------------------- basis
 

@@ -8,11 +8,6 @@ pushing each group's basis polynomials through the sublattice transforms;
 the resulting matrices take on a fixed small set of values, so they are
 deduplicated and applied as batched matrix products.
 
-For the Padua family an alternative forward path (`forward_padua`) avoids
-the type V transforms entirely: both sublattices are transformed along
-their endpoint/interior axis, interleaved into a single endpoint grid
-along the other axis, transformed once more, and index-remapped.
-
 All operations are reentrant; plans are immutable after construction.
 """
 
@@ -21,17 +16,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.fft
 
-from .dct import (
-    BoundaryType,
-    adjoint_dct_nd,
-    analysis_prefactor,
-    dct_axis,
-    dct_nd,
-    idct_nd,
-    node_weights,
-)
+# dct_nd, idct_nd, adjoint_dct_nd and dct_axis stay bound here: perfbench/tracer.py wraps them.
+from .dct import GridDCT, adjoint_dct_nd, dct_axis, dct_nd, idct_nd  # noqa: F401
 from .lattice import ChebyshevLattice, Family, LatticeError
 
 
@@ -48,10 +35,12 @@ class AliasingMatrix:
     members: tuple[tuple[tuple[int, ...], ...], ...]
 
 
-@dataclass
+@dataclass(frozen=True)
 class _Bucket:
     """Groups sharing one matrix, with gathered index arrays."""
 
+    class_key: tuple[int, ...]  # key of the first group in the bucket
+    members: tuple[tuple[tuple[int, ...], ...], ...]  # its entries' members
     M: np.ndarray  # (nentries, nslots): slot values -> coefficients
     V: np.ndarray  # (nslots, nentries): sampled responses, M = V^{-1}
     slots: np.ndarray  # (nslots, ngroups) flat slot indices
@@ -67,133 +56,51 @@ class TransformPlan:
 
     def __init__(self, lattice: ChebyshevLattice):
         self.lattice = lattice
-        self._grids = lattice._grids
         self._slot_base = lattice._slot_base
         self.buckets = self._bucketize(lattice)
-        self._grid_ops = [self._make_grid_op(g) for g in lattice._grids]
-        self._padua_path = None
-
-    @staticmethod
-    def _make_grid_op(g):
-        """Precompute the per-grid transform strategy and scale tensors.
-
-        Grids whose axes share one DCT family collapse to a single dctn
-        call with a precomputed diagonal scaling; mixed or type V grids
-        use the general per-axis path.
-        """
-        kinds = set(g.boundaries)
-        if kinds == {BoundaryType.TYPE_I} or kinds == {BoundaryType.TYPE_II}:
-            kind = g.boundaries[0]
-            dct_type = 1 if kind is BoundaryType.TYPE_I else 2
-            fwd = np.ones(())
-            inv = np.ones(())
-            adj_in = np.ones(())
-            adj_out = np.ones(())
-            for ax, n in enumerate(g.sizes):
-                a = analysis_prefactor(n, kind)
-                w = node_weights(n, kind)
-                half = np.ones(n)
-                if kind is BoundaryType.TYPE_I:
-                    half[1:-1] = 0.5
-                else:
-                    half[1:] = 0.5
-                shape = [1] * len(g.sizes)
-                shape[ax] = n
-                fwd = fwd * (a / 2.0).reshape(shape)
-                inv = inv * half.reshape(shape)
-                adj_in = adj_in * (a * half).reshape(shape)
-                adj_out = adj_out * w.reshape(shape)
-            return ("dctn", dct_type, fwd, inv, adj_in, adj_out)
-        return ("axes",)
+        self._grid_dcts = tuple(GridDCT(g.sizes, g.boundaries) for g in lattice._grids)
 
     def _bucketize(self, lattice: ChebyshevLattice) -> list[_Bucket]:
-        table: dict[bytes, dict] = {}
+        # response bytes -> (first group, M, slot lists, entry lists)
+        table: dict[bytes, tuple] = {}
         for comp in lattice.components:
             V = comp.response
             key = V.round(9).tobytes() + bytes(str(V.shape), "ascii")
-            rec = table.get(key)
-            if rec is None:
+            if key not in table:
                 try:
                     M = np.linalg.inv(V)
                 except np.linalg.LinAlgError as exc:
                     raise LatticeError(
                         f"aliasing matrix for group {comp.key} is singular"
                     ) from exc
-                rec = {"M": M, "V": V, "slots": [], "entries": []}
-                table[key] = rec
-            flat_slots = [self._slot_base[si] + fi for si, fi in comp.slots]
-            rec["slots"].append(flat_slots)
-            rec["entries"].append(comp.entry_ids)
-        buckets = []
-        for rec in table.values():
-            buckets.append(
-                _Bucket(
-                    M=rec["M"],
-                    V=rec["V"],
-                    slots=np.asarray(rec["slots"], dtype=np.int64).T,
-                    entries=np.asarray(rec["entries"], dtype=np.int64).T,
-                )
+                table[key] = (comp, M, [], [])
+            _, _, slots, entries = table[key]
+            slots.append([self._slot_base[si] + fi for si, fi in comp.slots])
+            entries.append(comp.entry_ids)
+        return [
+            _Bucket(
+                class_key=first.key,
+                members=tuple(lattice.basis[i].members for i in first.entry_ids),
+                M=M,
+                V=first.response,
+                slots=np.asarray(slots, dtype=np.int64).T,
+                entries=np.asarray(entries, dtype=np.int64).T,
             )
-        return buckets
+            for first, M, slots, entries in table.values()
+        ]
 
     def aliasing_matrices(self) -> list[AliasingMatrix]:
         """The deduplicated aliasing systems, for inspection and testing."""
-        seen: dict[bytes, AliasingMatrix] = {}
-        for comp in self.lattice.components:
-            V = comp.response
-            key = V.round(9).tobytes() + bytes(str(V.shape), "ascii")
-            if key not in seen:
-                seen[key] = AliasingMatrix(
-                    class_key=comp.key,
-                    M=np.linalg.inv(V),
-                    members=tuple(
-                        self.lattice.basis[i].members for i in comp.entry_ids
-                    ),
-                )
-        return list(seen.values())
+        return [AliasingMatrix(class_key=b.class_key, M=b.M, members=b.members)
+                for b in self.buckets]
 
-    # ------------------------------------------------------------ pieces
-
-    def _sublattice_dct(self, samples: np.ndarray) -> np.ndarray:
+    def _per_grid(self, apply, values: np.ndarray) -> np.ndarray:
+        """``apply(op, block)`` for every sublattice's `GridDCT` and block of ``values``."""
         out = np.empty(self.lattice.npoints)
-        for si, g in enumerate(self._grids):
-            lo, hi = self._slot_base[si], self._slot_base[si + 1]
-            seg = samples[lo:hi].reshape(g.sizes)
-            op = self._grid_ops[si]
-            if op[0] == "dctn":
-                res = scipy.fft.dctn(seg, type=op[1])
-                np.multiply(res, op[2], out=res)
-            else:
-                res = dct_nd(seg, g.boundaries)
-            out[lo:hi] = res.ravel()
-        return out
-
-    def _sublattice_idct(self, slots: np.ndarray) -> np.ndarray:
-        out = np.empty(self.lattice.npoints)
-        for si, g in enumerate(self._grids):
-            lo, hi = self._slot_base[si], self._slot_base[si + 1]
-            seg = slots[lo:hi].reshape(g.sizes)
-            op = self._grid_ops[si]
-            if op[0] == "dctn":
-                synth_type = 1 if op[1] == 1 else 3
-                res = scipy.fft.dctn(seg * op[3], type=synth_type, overwrite_x=True)
-            else:
-                res = idct_nd(seg, g.boundaries)
-            out[lo:hi] = res.ravel()
-        return out
-
-    def _sublattice_adjoint(self, slots: np.ndarray) -> np.ndarray:
-        out = np.empty(self.lattice.npoints)
-        for si, g in enumerate(self._grids):
-            lo, hi = self._slot_base[si], self._slot_base[si + 1]
-            seg = slots[lo:hi].reshape(g.sizes)
-            op = self._grid_ops[si]
-            if op[0] == "dctn":
-                synth_type = 1 if op[1] == 1 else 3
-                res = scipy.fft.dctn(seg * op[4], type=synth_type) * op[5]
-            else:
-                res = adjoint_dct_nd(seg, g.boundaries)
-            out[lo:hi] = res.ravel()
+        base = self._slot_base
+        for si, op in enumerate(self._grid_dcts):
+            lo, hi = base[si], base[si + 1]
+            out[lo:hi].reshape(op.sizes)[...] = apply(op, values[lo:hi].reshape(op.sizes))
         return out
 
 
@@ -218,6 +125,8 @@ def _check_coeffs(plan: TransformPlan, coeffs) -> np.ndarray:
     nbasis = len(plan.lattice.basis)
     if coeffs.shape != (nbasis,):
         raise TransformError(f"expected {nbasis} coefficients, got shape {coeffs.shape}")
+    if not np.all(np.isfinite(coeffs)):
+        raise TransformError("coefficients contain NaN or Inf")
     return coeffs
 
 
@@ -227,7 +136,7 @@ def forward(plan: TransformPlan, samples) -> np.ndarray:
     Cost is O(m n log n + m^2 n) for n points on m sublattices.
     """
     samples = _check_samples(plan, samples)
-    slots = plan._sublattice_dct(samples)
+    slots = plan._per_grid(GridDCT.forward, samples)
     out = np.empty(len(plan.lattice.basis))
     for b in plan.buckets:
         out[b.entries] = b.M @ slots[b.slots]
@@ -240,7 +149,7 @@ def inverse(plan: TransformPlan, coeffs) -> np.ndarray:
     slots = np.empty(plan.lattice.npoints)
     for b in plan.buckets:
         slots[b.slots] = b.V @ coeffs[b.entries]
-    return plan._sublattice_idct(slots)
+    return plan._per_grid(GridDCT.inverse, slots)
 
 
 def adjoint(plan: TransformPlan, functional) -> np.ndarray:
@@ -253,146 +162,18 @@ def adjoint(plan: TransformPlan, functional) -> np.ndarray:
     slots = np.zeros(plan.lattice.npoints)
     for b in plan.buckets:
         slots[b.slots] = b.M.T @ functional[b.entries]
-    return plan._sublattice_adjoint(slots)
-
-
-# -------------------------------------------------------- padua fast path
-
-
-class _PaduaPlan:
-    """Padua-only forward path that avoids type V transforms."""
-
-    def __init__(self, lattice: ChebyshevLattice):
-        n = lattice.resolution
-        # the axis whose sublattice grids have even circle count carries
-        # the endpoint/interior (I/II) transforms; the other interleaves
-        self.nonint_axis = 0 if n % 2 == 0 else 1
-        self.int_axis = 1 - self.nonint_axis
-        g0, g1 = lattice._grids
-        if g0.shift != (0, 0):
-            g0, g1 = g1, g0
-        self.gA, self.gB = g0, g1
-        self.a_first = lattice._grids[0].shift == (0, 0)
-        self.total_int = self.gA.sizes[self.int_axis] + self.gB.sizes[self.int_axis]
-        self.nonint_size = self.gA.sizes[self.nonint_axis]
-        self._build_remap(lattice)
-
-    def _build_remap(self, lattice: ChebyshevLattice) -> None:
-        N_nonint = self.gA.circle[self.nonint_axis]
-        top_int = self.total_int - 1
-        hits: dict[int, list[tuple[int, float]]] = {}
-
-        def slot_id(f: int, g: int) -> int:
-            return f * self.total_int + g
-
-        for ei, entry in enumerate(lattice.basis):
-            for member in entry.members:
-                p = member[self.nonint_axis]
-                q = member[self.int_axis]
-                f = p % N_nonint
-                f = f if 2 * f <= N_nonint else N_nonint - f
-                if 2 * f == N_nonint:
-                    sB = 0.0
-                else:
-                    m = (p - f) // N_nonint if p % N_nonint == f else (p + f) // N_nonint
-                    sB = -1.0 if m % 2 else 1.0
-                for g, w in ((q, (1 + sB) / 2), (top_int - q, (1 - sB) / 2)):
-                    if w != 0.0:
-                        hits.setdefault(slot_id(f, g), []).append((ei, w))
-
-        # connected components of the slot/entry bipartite graph
-        parent: dict = {}
-
-        def find(x):
-            while parent.setdefault(x, x) != x:
-                parent[x] = parent[parent[x]]
-                x = parent[x]
-            return x
-
-        def union(x, y):
-            parent[find(x)] = find(y)
-
-        for slot, evs in hits.items():
-            for ei, _ in evs:
-                union(("s", slot), ("e", ei))
-        comps: dict = {}
-        for slot, evs in hits.items():
-            comps.setdefault(find(("s", slot)), {"slots": set(), "entries": set()})
-            comps[find(("s", slot))]["slots"].add(slot)
-            for ei, _ in evs:
-                comps[find(("s", slot))]["entries"].add(ei)
-
-        table: dict[bytes, dict] = {}
-        for comp in comps.values():
-            slots = sorted(comp["slots"])
-            entries = sorted(comp["entries"])
-            V = np.zeros((len(slots), len(entries)))
-            srank = {s: i for i, s in enumerate(slots)}
-            erank = {e: j for j, e in enumerate(entries)}
-            for slot in slots:
-                for ei, w in hits.get(slot, ()):
-                    V[srank[slot], erank[ei]] += w
-            M = np.linalg.pinv(V)
-            key = V.round(9).tobytes() + bytes(str(V.shape), "ascii")
-            rec = table.setdefault(key, {"M": M, "V": V, "slots": [], "entries": []})
-            rec["slots"].append(slots)
-            rec["entries"].append(entries)
-        self.buckets = [
-            _Bucket(
-                M=rec["M"],
-                V=rec["V"],
-                slots=np.asarray(rec["slots"], dtype=np.int64).T,
-                entries=np.asarray(rec["entries"], dtype=np.int64).T,
-            )
-            for rec in table.values()
-        ]
-
-    def apply(self, plan: TransformPlan, samples: np.ndarray) -> np.ndarray:
-        lat = plan.lattice
-        base = plan._slot_base
-        segs = [
-            samples[base[i] : base[i + 1]].reshape(lat._grids[i].sizes)
-            for i in range(2)
-        ]
-        segA, segB = (segs[0], segs[1]) if self.a_first else (segs[1], segs[0])
-        chiA = dct_axis(segA, BoundaryType.TYPE_I, axis=self.nonint_axis)
-        chiB = dct_axis(segB, BoundaryType.TYPE_II, axis=self.nonint_axis)
-        shape = [0, 0]
-        shape[self.nonint_axis] = self.nonint_size
-        shape[self.int_axis] = self.total_int
-        chi = np.zeros(tuple(shape))
-        slA = [slice(None)] * 2
-        slA[self.int_axis] = slice(0, None, 2)
-        slB = [slice(None)] * 2
-        slB[self.int_axis] = slice(1, None, 2)
-        chi[tuple(slA)] = chiA
-        bsel = [slice(None)] * 2
-        bsel[self.nonint_axis] = slice(0, chiB.shape[self.nonint_axis])
-        sub = chi[tuple(slB)]
-        sub[tuple(bsel)] = chiB
-        chi[tuple(slB)] = sub
-        chi = dct_axis(chi, BoundaryType.TYPE_I, axis=self.int_axis)
-        if self.nonint_axis != 0:
-            chi = chi.T
-        flat = chi.ravel()
-        out = np.zeros(len(lat.basis))
-        for b in self.buckets:
-            out[b.entries] = b.M @ flat[b.slots]
-        return out
+    return plan._per_grid(GridDCT.adjoint, slots)
 
 
 def forward_padua(plan: TransformPlan, samples) -> np.ndarray:
-    """Padua coefficients via interleaved endpoint-grid transforms.
+    """`forward` restricted to the Padua family.
 
-    Agrees with `forward` to roundoff; available only for the Padua
-    family.
+    Kept for callers of the former Padua-only path; the result is
+    `forward`'s, bit for bit.
     """
     if plan.lattice.family is not Family.PADUA:
         raise TransformError("forward_padua requires a Padua lattice")
-    samples = _check_samples(plan, samples)
-    if plan._padua_path is None:
-        plan._padua_path = _PaduaPlan(plan.lattice)
-    return plan._padua_path.apply(plan, samples)
+    return forward(plan, samples)
 
 
 # ---------------------------------------------------------------- oracle

@@ -52,6 +52,14 @@ def dct_nd_oracle(values: np.ndarray, boundaries) -> np.ndarray:
     return out
 
 
+def synthesis_nd_oracle(coeffs: np.ndarray, boundaries) -> np.ndarray:
+    """Axis-by-axis application of `synthesis_oracle`."""
+    out = np.asarray(coeffs, dtype=float)
+    for ax, boundary in enumerate(boundaries):
+        out = np.apply_along_axis(synthesis_oracle, ax, out, boundary)
+    return out
+
+
 def vandermonde(lattice) -> np.ndarray:
     """Dense collocation matrix V[i, j] = basis_j(point_i) by direct cosines."""
     thetas = np.arccos(np.clip(lattice.points, -1.0, 1.0))

@@ -200,6 +200,19 @@ def test_evaluate_and_differentiate_write_no_attributes():
     assert (set(vars(L)), set(vars(P)), set(vars(interp))) == before
 
 
+def test_transforms_leave_plan_unchanged():
+    L, P = make("padua", 2, 5)
+    rng = np.random.default_rng(10)
+    s = rng.standard_normal(L.npoints)
+    c = rng.standard_normal(len(L.basis))
+    before = {k: id(v) for k, v in vars(P).items()}
+    tf.forward(P, s)
+    tf.inverse(P, c)
+    tf.adjoint(P, c)
+    tf.forward_padua(P, s)
+    assert {k: id(v) for k, v in vars(P).items()} == before
+
+
 # ------------------------------------------------------------ derivative
 
 

@@ -4,6 +4,7 @@ from hypothesis import given, settings, strategies as st
 
 from cheblat.dct import (
     BoundaryType,
+    GridDCT,
     adjoint_dct_nd,
     circle_count,
     dct_1d,
@@ -15,10 +16,23 @@ from cheblat.dct import (
     idct_typeV,
     nodes_1d,
 )
-from oracles import dct_nd_oracle, dct_oracle, synthesis_oracle
+from oracles import dct_nd_oracle, dct_oracle, synthesis_nd_oracle, synthesis_oracle
 
 ALL_TYPES = list(BoundaryType)
 V_TYPES = [BoundaryType.TYPE_V_MINUS, BoundaryType.TYPE_V_PLUS]
+I, II, VM, VP = (BoundaryType.TYPE_I, BoundaryType.TYPE_II, BoundaryType.TYPE_V_MINUS,
+                 BoundaryType.TYPE_V_PLUS)
+
+# 3-d grids that mix families, so several axes share one dctn call and
+# type V axes sit between them; the last two have a TYPE_I axis of length
+# 2 and a type V axis of length 1
+MIXED_3D = [
+    ((5, 4, 3), (I, I, II)),
+    ((3, 5, 4), (II, VM, II)),
+    ((4, 6, 3), (VP, I, VM)),
+    ((2, 1, 3), (I, VP, II)),
+    ((1, 2, 2), (VM, I, I)),
+]
 
 
 def min_n(boundary):
@@ -242,6 +256,31 @@ def test_nd_round_trip_mixed_types():
     assert np.max(np.abs(back - v)) < 1e-12
 
 
+@pytest.mark.parametrize("shape,kinds", MIXED_3D)
+def test_nd_mixed_families_match_oracles(shape, kinds):
+    rng = np.random.default_rng(sum(shape))
+    v = rng.standard_normal(shape)
+    assert np.max(np.abs(dct_nd(v, kinds) - dct_nd_oracle(v, kinds))) < 1e-12
+    c = rng.standard_normal(shape)
+    assert np.max(np.abs(idct_nd(c, kinds) - synthesis_nd_oracle(c, kinds))) < 1e-12
+
+
+def test_grid_dct_validates_and_keeps_scales_read_only():
+    with pytest.raises(ValueError):
+        GridDCT((1, 3), (I, II))  # TYPE_I needs two nodes
+    with pytest.raises(ValueError):
+        GridDCT((3, 3), (I,))
+    with pytest.raises(ValueError):
+        GridDCT((), ())
+    op = GridDCT((4, 3), (I, VP))
+    v = np.random.default_rng(1).standard_normal((4, 3))
+    before = v.copy()
+    assert np.array_equal(op.forward(v), dct_nd(v, (I, VP)))
+    assert np.array_equal(v, before)  # input untouched by the in-place scaling
+    with pytest.raises(ValueError):
+        op._analysis_scale[0, 0] = 2.0
+
+
 # -------------------------------------------------------------- adjoint
 
 
@@ -251,6 +290,16 @@ def test_adjoint_identity(seed):
     rng = np.random.default_rng(seed)
     kinds = (BoundaryType.TYPE_I, BoundaryType.TYPE_V_PLUS)
     shape = (4, 3)
+    u = rng.standard_normal(shape)
+    f = rng.standard_normal(shape)
+    lhs = np.vdot(u, dct_nd(f, kinds))
+    rhs = np.vdot(adjoint_dct_nd(u, kinds), f)
+    assert abs(lhs - rhs) < 1e-11 * max(1.0, abs(lhs))
+
+
+@pytest.mark.parametrize("shape,kinds", MIXED_3D)
+def test_adjoint_identity_mixed_families(shape, kinds):
+    rng = np.random.default_rng(len(shape) + sum(shape))
     u = rng.standard_normal(shape)
     f = rng.standard_normal(shape)
     lhs = np.vdot(u, dct_nd(f, kinds))

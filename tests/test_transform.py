@@ -176,6 +176,18 @@ def test_forward_validates_input():
         tf.inverse(P, np.ones(len(L.basis) + 2))
 
 
+def test_inverse_and_adjoint_reject_nonfinite_coefficients():
+    L = lat.build("bcc", 3, 3)
+    P = tf.plan(L)
+    for bad_value in (np.nan, np.inf, -np.inf):
+        bad = np.zeros(len(L.basis))
+        bad[1] = bad_value
+        with pytest.raises(tf.TransformError):
+            tf.inverse(P, bad)
+        with pytest.raises(tf.TransformError):
+            tf.adjoint(P, bad)
+
+
 # ------------------------------------------------------------- round trip
 
 
@@ -284,6 +296,15 @@ def test_padua_path_matches_default_forward():
         a = tf.forward(P, s)
         b = tf.forward_padua(P, s)
         assert np.max(np.abs(a - b)) < 1e-12 * max(1.0, np.max(np.abs(a))), n
+
+
+def test_forward_padua_is_forward_bitwise():
+    rng = np.random.default_rng(12)
+    for n in (1, 2, 5, 8, 33):
+        L = lat.build("padua", 2, n)
+        P = tf.plan(L)
+        s = rng.standard_normal(L.npoints)
+        assert np.array_equal(tf.forward_padua(P, s), tf.forward(P, s)), n
 
 
 def test_padua_path_requires_padua_family():
