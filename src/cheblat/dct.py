@@ -31,14 +31,16 @@ Types I and II are computed with :mod:`scipy.fft`; the type V transforms,
 which common FFT packages do not provide, are computed by embedding the
 reflected data in a complex FFT of length ``2n - 1``.  `GridDCT` is the
 planned n-d operator (forward, inverse and adjoint of one tensor-product
-grid); `dct_nd`, `idct_nd` and `adjoint_dct_nd` are thin checked calls to
-it, and the transforms in :mod:`cheblat.transform` hold one per sublattice.
+grid, by dense matrix products on short axes); `dct_nd`, `idct_nd` and
+`adjoint_dct_nd` are thin checked calls to it, and the transforms in
+:mod:`cheblat.transform` hold one per sublattice.
 """
 
 from __future__ import annotations
 
 import enum
 import functools
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -331,18 +333,57 @@ def idct_typeV(coeffs: np.ndarray, variant: BoundaryType) -> np.ndarray:
     return idct_axis(coeffs, variant)
 
 
+# Axes up to this length are transformed by a dense matrix product, not an
+# FFT.  On short axes the FFT's fixed cost per call and per line outweighs
+# the n multiply-adds per output: a 13^3 grid (bcc r=24) takes about 20 us
+# dense against 40 us by ``dctn`` on a 2-vCPU x86-64 host.  Beyond 16 the dense cost per point
+# keeps growing linearly in n, so the cut keeps the transform's cost per
+# point near the FFT's n log n curve, and every product (n^4
+# multiply-adds for an n^3 grid) below OpenBLAS's threading threshold.
+_DENSE_MAX = 16
+
+
+def _cosine_matrix(n: int, boundary: BoundaryType) -> np.ndarray:
+    """``C[k, j] = cos(k theta_j)``, with the angle reduced exactly mod ``2 pi``.
+
+    ``theta_j = pi p_j / q`` for integers ``p_j, q``, so ``k theta_j`` is
+    reduced as the integer ``k p_j mod 2q`` before the cosine is taken.
+    """
+    j = np.arange(n)
+    if boundary is BoundaryType.TYPE_I:
+        p, q = 2 * j, 2 * (n - 1)
+    elif boundary is BoundaryType.TYPE_II:
+        p, q = 2 * j + 1, 2 * n
+    elif boundary is BoundaryType.TYPE_V_MINUS:
+        p, q = 2 * j, 2 * n - 1
+    else:
+        p, q = 2 * j + 1, 2 * n - 1
+    return np.cos(np.pi * (np.outer(j, p) % (2 * q)) / q)
+
+
+def _dense_axis(values: np.ndarray, matrix: np.ndarray, axis: int) -> np.ndarray:
+    """``matrix`` applied along ``axis`` of ``values``, as one (batched) matrix product."""
+    shape = values.shape
+    post = math.prod(shape[axis + 1:])
+    if post == 1:
+        return (values.reshape(-1, shape[axis]) @ matrix.T).reshape(shape)
+    return np.matmul(matrix, values.reshape(-1, shape[axis], post)).reshape(shape)
+
+
 class GridDCT:
     """Planned separable transform of one tensor-product grid.
 
     ``forward``, ``inverse`` and ``adjoint`` compute `dct_nd`, `idct_nd`
     and `adjoint_dct_nd` for arrays of shape ``sizes``, without their input
-    checks.  All type I axes go through one ``dctn`` call and all type II
-    axes through another; type V axes are transformed one at a time.  The
-    diagonal scale tensors are built here, once, and are read-only, so one
-    operator can serve any number of threads.
+    checks.  Axes of length up to ``_DENSE_MAX`` are transformed by a dense
+    matrix product with their scale factors folded in.  On longer axes, all
+    type I axes go through one ``dctn`` call and all type II axes through
+    another; type V axes are transformed one at a time.  The matrices and
+    the diagonal scale tensors are built here, once, and are read-only, so
+    one operator can serve any number of threads.
     """
 
-    __slots__ = ("sizes", "boundaries", "_dctn", "_type_v",
+    __slots__ = ("sizes", "boundaries", "_dense", "_dctn", "_type_v", "_scaled",
                  "_analysis_scale", "_synthesis_scale", "_adjoint_scale", "_weights")
 
     def __init__(self, sizes: tuple[int, ...], boundaries: tuple[BoundaryType, ...]):
@@ -357,53 +398,79 @@ class GridDCT:
             _check_axis_size(n, boundary)
         self.sizes = sizes
         self.boundaries = boundaries
+        dense = tuple(n <= _DENSE_MAX for n in sizes)
+        a = [analysis_prefactor(n, b) for n, b in zip(sizes, boundaries)]
+        w = [node_weights(n, b) for n, b in zip(sizes, boundaries)]
+        # (axis, analysis diag(a) C diag(w), synthesis C^T, adjoint: the
+        # analysis matrix's transpose), all read-only
+        dense_ops = []
+        for ax, (n, b) in enumerate(zip(sizes, boundaries)):
+            if dense[ax]:
+                C = _cosine_matrix(n, b)
+                A, S = a[ax][:, None] * C * w[ax], np.ascontiguousarray(C.T)
+                A.flags.writeable = S.flags.writeable = False
+                dense_ops.append((ax, A, S, A.T))
+        self._dense = tuple(dense_ops)
         # (analysis DCT type, synthesis DCT type, axes); axes=None when the
         # group is every axis, which spares scipy's per-call axes handling
         dctn = []
         for family, types in ((BoundaryType.TYPE_I, (1, 1)), (BoundaryType.TYPE_II, (2, 3))):
-            axes = tuple(ax for ax, b in enumerate(boundaries) if b is family)
+            axes = tuple(ax for ax, b in enumerate(boundaries) if b is family and not dense[ax])
             if axes:
                 dctn.append(types + (None if len(axes) == len(sizes) else axes,))
         self._dctn = tuple(dctn)
         self._type_v = tuple(
             (ax, b) for ax, b in enumerate(boundaries)
-            if b in (BoundaryType.TYPE_V_MINUS, BoundaryType.TYPE_V_PLUS)
+            if b in (BoundaryType.TYPE_V_MINUS, BoundaryType.TYPE_V_PLUS) and not dense[ax]
         )
-        a = [analysis_prefactor(n, b) for n, b in zip(sizes, boundaries)]
-        half = [_halving(n, b) for n, b in zip(sizes, boundaries)]
+        self._scaled = not all(dense)
+        # the FFT axes' factors; dense axes have theirs in the matrices
+        # and broadcast with length 1 here
+        one = np.ones(1)
+        half = [one if d else _halving(n, b) for n, b, d in zip(sizes, boundaries, dense)]
         outer = functools.partial(functools.reduce, np.multiply.outer)  # factors -> tensor
-        self._analysis_scale = outer([ak / 2.0 for ak in a])
+        self._analysis_scale = outer([one if d else ak / 2.0 for ak, d in zip(a, dense)])
         self._synthesis_scale = outer(half)
-        self._adjoint_scale = outer([ak * hk for ak, hk in zip(a, half)])
-        self._weights = outer([node_weights(n, b) for n, b in zip(sizes, boundaries)])
+        self._adjoint_scale = outer([one if d else ak * hk for ak, hk, d in zip(a, half, dense)])
+        self._weights = outer([one if d else wk for wk, d in zip(w, dense)])
         for t in (self._analysis_scale, self._synthesis_scale, self._adjoint_scale, self._weights):
             t.flags.writeable = False
 
     def forward(self, values: np.ndarray) -> np.ndarray:
         """Coefficients of samples on the grid (unit recovery, as `dct_nd`)."""
         x = values
+        for ax, A, _, _ in self._dense:
+            x = _dense_axis(x, A, ax)
         for dct_type, _, axes in self._dctn:
             x = scipy.fft.dctn(x, type=dct_type, axes=axes, overwrite_x=x is not values)
         for ax, boundary in self._type_v:
             x = _dct_v_axis(x, boundary, ax)
-        np.multiply(x, self._analysis_scale, out=x)
+        if self._scaled:
+            np.multiply(x, self._analysis_scale, out=x)
         return x
 
-    def _synthesis(self, halved: np.ndarray) -> np.ndarray:
-        x = halved
+    def _synthesis(self, x: np.ndarray, dense: int) -> np.ndarray:
+        """FFT synthesis of the long axes (``x`` is a fresh array when there
+        are any), then dense matrix ``dense`` of `_dense` on the short ones."""
         for _, dct_type, axes in self._dctn:
             x = scipy.fft.dctn(x, type=dct_type, axes=axes, overwrite_x=True)
         for ax, boundary in self._type_v:
             x = _idct_v_axis(x, boundary, ax)
+        for ax, *matrices in self._dense:
+            x = _dense_axis(x, matrices[dense], ax)
         return x
 
     def inverse(self, coeffs: np.ndarray) -> np.ndarray:
         """Samples on the grid of a coefficient tensor (as `idct_nd`)."""
-        return self._synthesis(coeffs * self._synthesis_scale)
+        if self._scaled:
+            coeffs = coeffs * self._synthesis_scale
+        return self._synthesis(coeffs, 1)
 
     def adjoint(self, functional: np.ndarray) -> np.ndarray:
         """Transpose of `forward` (as `adjoint_dct_nd`)."""
-        x = self._synthesis(functional * self._adjoint_scale)
+        if not self._scaled:
+            return self._synthesis(functional, 2)
+        x = self._synthesis(functional * self._adjoint_scale, 2)
         np.multiply(x, self._weights, out=x)
         return x
 

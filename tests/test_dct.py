@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from cheblat import dct
 from cheblat.dct import (
     BoundaryType,
     GridDCT,
@@ -279,6 +280,48 @@ def test_grid_dct_validates_and_keeps_scales_read_only():
     assert np.array_equal(v, before)  # input untouched by the in-place scaling
     with pytest.raises(ValueError):
         op._analysis_scale[0, 0] = 2.0
+
+
+# grids with axes on both sides of the dense/FFT cut, and the mixes above
+DENSE_AND_FFT = MIXED_3D + [
+    ((18, 3, 17), (I, II, VM)),
+    ((2, 19, 4), (I, VP, II)),
+    ((20, 17), (II, VP)),
+    ((18, 21), (I, I)),
+]
+
+
+@pytest.mark.parametrize("shape,kinds", DENSE_AND_FFT)
+@pytest.mark.parametrize("dense_max", [0, dct._DENSE_MAX, 64])
+def test_grid_dct_dense_and_fft_axes_match_oracles(monkeypatch, shape, kinds, dense_max):
+    # dense_max 0 forces every axis through the FFT, 64 every axis through
+    # the dense product; the default splits the long grids above
+    monkeypatch.setattr(dct, "_DENSE_MAX", dense_max)
+    op = GridDCT(shape, kinds)
+    rng = np.random.default_rng(len(shape) + sum(shape))
+    v, c = rng.standard_normal(shape), rng.standard_normal(shape)
+    before = v.copy(), c.copy()
+    assert np.max(np.abs(op.forward(v) - dct_nd_oracle(v, kinds))) < 1e-12
+    assert np.max(np.abs(op.inverse(c) - synthesis_nd_oracle(c, kinds))) < 1e-11
+    lhs = np.vdot(c, op.forward(v))
+    rhs = np.vdot(op.adjoint(c), v)
+    assert abs(lhs - rhs) < 1e-11 * max(1.0, abs(lhs))
+    assert np.array_equal(v, before[0]) and np.array_equal(c, before[1])
+
+
+@pytest.mark.parametrize("kind", ALL_TYPES)
+def test_grid_dct_dense_unit_recovery(kind):
+    # every representable mode of a dense 2-d grid comes back as its unit tensor
+    n = 9
+    op = GridDCT((n, n), (kind, kind))
+    assert not op._dctn and not op._type_v
+    thetas = nodes_1d(n, kind).thetas
+    for k in range(n):
+        tensor = np.multiply.outer(np.cos(k * thetas), np.cos((n - 1 - k) * thetas))
+        expect = np.zeros((n, n))
+        expect[k, n - 1 - k] = 1.0
+        assert np.allclose(op.forward(tensor), expect, atol=1e-13), (kind, k)
+        assert np.allclose(op.inverse(expect), tensor, atol=1e-13), (kind, k)
 
 
 # -------------------------------------------------------------- adjoint
