@@ -127,10 +127,7 @@ def nodes_1d(n: int, boundary: BoundaryType) -> Grid1D:
     ValueError
         If ``n < 1``, or ``n < 2`` for ``TYPE_I``.
     """
-    if n < 1:
-        raise ValueError(f"node count must be positive, got {n}")
-    if boundary is BoundaryType.TYPE_I and n < 2:
-        raise ValueError("TYPE_I requires at least 2 nodes")
+    _check_axis_size(n, boundary)
     i = np.arange(n)
     if boundary is BoundaryType.TYPE_I:
         thetas = np.pi * i / (n - 1)
@@ -141,6 +138,13 @@ def nodes_1d(n: int, boundary: BoundaryType) -> Grid1D:
     else:
         thetas = np.pi * (2 * i + 1) / (2 * n - 1)
     return Grid1D(n=n, boundary=boundary, thetas=thetas, xs=np.cos(thetas))
+
+
+def _check_axis_size(n: int, boundary: BoundaryType) -> None:
+    if n < 1:
+        raise ValueError(f"node count must be positive, got {n}")
+    if boundary is BoundaryType.TYPE_I and n < 2:
+        raise ValueError("TYPE_I requires at least 2 nodes")
 
 
 def _check_finite(values: np.ndarray) -> None:
@@ -234,52 +238,22 @@ def _idct_v_axis(halved: np.ndarray, boundary: BoundaryType, axis: int) -> np.nd
     return np.moveaxis(samples, -1, axis)
 
 
-def _analysis_axis(values: np.ndarray, boundary: BoundaryType, axis: int) -> np.ndarray:
-    if boundary is BoundaryType.TYPE_I:
-        return scipy.fft.dct(values, type=1, axis=axis)
-    if boundary is BoundaryType.TYPE_II:
-        return scipy.fft.dct(values, type=2, axis=axis)
-    return _dct_v_axis(values, boundary, axis)
-
-
-def _synthesis_axis(halved: np.ndarray, boundary: BoundaryType, axis: int) -> np.ndarray:
-    if boundary is BoundaryType.TYPE_I:
-        return scipy.fft.dct(halved, type=1, axis=axis)
-    if boundary is BoundaryType.TYPE_II:
-        return scipy.fft.dct(halved, type=3, axis=axis)
-    return _idct_v_axis(halved, boundary, axis)
-
-
-def _along(values: np.ndarray, factor: np.ndarray, axis: int) -> np.ndarray:
-    """``values`` times a 1-d ``factor`` broadcast along ``axis``."""
-    shape = [1] * values.ndim
-    shape[axis] = factor.size
-    return values * factor.reshape(shape)
-
-
-def _check_axis_size(n: int, boundary: BoundaryType) -> None:
-    if n < 1:
-        raise ValueError(f"node count must be positive, got {n}")
-    if boundary is BoundaryType.TYPE_I and n < 2:
-        raise ValueError("TYPE_I requires at least 2 samples")
+def _on_axis(apply, array: np.ndarray, boundary: BoundaryType, axis: int) -> np.ndarray:
+    """``apply(op, array)`` along ``axis``, with ``op`` the 1-d `GridDCT` of ``boundary``."""
+    array = np.moveaxis(array, axis, -1)
+    return np.moveaxis(apply(GridDCT(array.shape[-1:], (boundary,)), array), -1, axis)
 
 
 def dct_axis(values: np.ndarray, boundary: BoundaryType, axis: int = -1) -> np.ndarray:
     """Analysis transform along one axis of a sample array."""
     values = np.asarray(values, dtype=float)
     _check_finite(values)
-    n = values.shape[axis]
-    _check_axis_size(n, boundary)
-    a = analysis_prefactor(n, boundary)
-    return _along(_analysis_axis(values, boundary, axis), a / 2.0, axis)
+    return _on_axis(GridDCT.forward, values, boundary, axis)
 
 
 def idct_axis(coeffs: np.ndarray, boundary: BoundaryType, axis: int = -1) -> np.ndarray:
     """Synthesis transform along one axis: evaluate the cosine sum at the nodes."""
-    coeffs = np.asarray(coeffs, dtype=float)
-    n = coeffs.shape[axis]
-    _check_axis_size(n, boundary)
-    return _synthesis_axis(_along(coeffs, _halving(n, boundary), axis), boundary, axis)
+    return _on_axis(GridDCT.inverse, np.asarray(coeffs, dtype=float), boundary, axis)
 
 
 def adjoint_dct_axis(functional: np.ndarray, boundary: BoundaryType, axis: int = -1) -> np.ndarray:
@@ -288,12 +262,7 @@ def adjoint_dct_axis(functional: np.ndarray, boundary: BoundaryType, axis: int =
     With ``A`` the analysis matrix, ``A = diag(a) C diag(w)`` where
     ``C[k, j] = cos(k theta_j)``, so ``A^T u = w * synth(a * u)``.
     """
-    functional = np.asarray(functional, dtype=float)
-    n = functional.shape[axis]
-    _check_axis_size(n, boundary)
-    ah = analysis_prefactor(n, boundary) * _halving(n, boundary)
-    synth = _synthesis_axis(_along(functional, ah, axis), boundary, axis)
-    return _along(synth, node_weights(n, boundary), axis)
+    return _on_axis(GridDCT.adjoint, np.asarray(functional, dtype=float), boundary, axis)
 
 
 def dct_1d(values: np.ndarray, boundary: BoundaryType) -> np.ndarray:
@@ -334,13 +303,12 @@ def idct_typeV(coeffs: np.ndarray, variant: BoundaryType) -> np.ndarray:
 
 
 # Axes up to this length are transformed by a dense matrix product, not an
-# FFT.  On short axes the FFT's fixed cost per call and per line outweighs
-# the n multiply-adds per output: a 13^3 grid (bcc r=24) takes about 20 us
-# dense against 40 us by ``dctn`` on a 2-vCPU x86-64 host.  Beyond 16 the dense cost per point
-# keeps growing linearly in n, so the cut keeps the transform's cost per
-# point near the FFT's n log n curve, and every product (n^4
-# multiply-adds for an n^3 grid) below OpenBLAS's threading threshold.
-_DENSE_MAX = 16
+# FFT, whose fixed cost per call and per line dominates on short axes.  The
+# benchmark's transform rounds get faster as the cut rises, but the dense cost
+# per point grows linearly in n: above 20 the n log n fit of the forward
+# transform over bcc r=24..100 nears its bound, and from n = 23 an n^3 grid's
+# n^4 product passes OpenBLAS's threading threshold (10x slower at n = 32).
+_DENSE_MAX = 20
 
 
 def _cosine_matrix(n: int, boundary: BoundaryType) -> np.ndarray:
@@ -362,11 +330,11 @@ def _cosine_matrix(n: int, boundary: BoundaryType) -> np.ndarray:
 
 
 def _dense_axis(values: np.ndarray, matrix: np.ndarray, axis: int) -> np.ndarray:
-    """``matrix`` applied along ``axis`` of ``values``, as one (batched) matrix product."""
+    """``matrix`` applied along the negative ``axis`` of ``values``, as one (batched) product."""
     shape = values.shape
+    if axis == -1:
+        return (values.reshape(-1, shape[-1]) @ matrix.T).reshape(shape)
     post = math.prod(shape[axis + 1:])
-    if post == 1:
-        return (values.reshape(-1, shape[axis]) @ matrix.T).reshape(shape)
     return np.matmul(matrix, values.reshape(-1, shape[axis], post)).reshape(shape)
 
 
@@ -374,13 +342,14 @@ class GridDCT:
     """Planned separable transform of one tensor-product grid.
 
     ``forward``, ``inverse`` and ``adjoint`` compute `dct_nd`, `idct_nd`
-    and `adjoint_dct_nd` for arrays of shape ``sizes``, without their input
-    checks.  Axes of length up to ``_DENSE_MAX`` are transformed by a dense
-    matrix product with their scale factors folded in.  On longer axes, all
-    type I axes go through one ``dctn`` call and all type II axes through
-    another; type V axes are transformed one at a time.  The matrices and
-    the diagonal scale tensors are built here, once, and are read-only, so
-    one operator can serve any number of threads.
+    and `adjoint_dct_nd` over the last ``len(sizes)`` axes of their input,
+    without their input checks; any leading axes are a batch.  Axes of
+    length up to ``_DENSE_MAX`` are transformed by a dense matrix product
+    with their scale factors folded in.  On longer axes, all type I axes go
+    through one ``dctn`` call and all type II axes through another; type V
+    axes are transformed one at a time.  The matrices and the diagonal
+    scale tensors are built here, once, and are read-only, so one operator
+    can serve any number of threads.
     """
 
     __slots__ = ("sizes", "boundaries", "_dense", "_dctn", "_type_v", "_scaled",
@@ -398,30 +367,30 @@ class GridDCT:
             _check_axis_size(n, boundary)
         self.sizes = sizes
         self.boundaries = boundaries
+        ndim = len(sizes)
         dense = tuple(n <= _DENSE_MAX for n in sizes)
         a = [analysis_prefactor(n, b) for n, b in zip(sizes, boundaries)]
         w = [node_weights(n, b) for n, b in zip(sizes, boundaries)]
         # (axis, analysis diag(a) C diag(w), synthesis C^T, adjoint: the
-        # analysis matrix's transpose), all read-only
+        # analysis matrix's transpose), all read-only; axes count from the end
         dense_ops = []
         for ax, (n, b) in enumerate(zip(sizes, boundaries)):
             if dense[ax]:
                 C = _cosine_matrix(n, b)
                 A, S = a[ax][:, None] * C * w[ax], np.ascontiguousarray(C.T)
                 A.flags.writeable = S.flags.writeable = False
-                dense_ops.append((ax, A, S, A.T))
+                dense_ops.append((ax - ndim, A, S, A.T))
         self._dense = tuple(dense_ops)
-        # (analysis DCT type, synthesis DCT type, axes); axes=None when the
-        # group is every axis, which spares scipy's per-call axes handling
+        fft = [(ax - ndim, b) for ax, b in enumerate(boundaries) if not dense[ax]]
+        # (analysis DCT type, synthesis DCT type, axes)
         dctn = []
         for family, types in ((BoundaryType.TYPE_I, (1, 1)), (BoundaryType.TYPE_II, (2, 3))):
-            axes = tuple(ax for ax, b in enumerate(boundaries) if b is family and not dense[ax])
+            axes = tuple(ax for ax, b in fft if b is family)
             if axes:
-                dctn.append(types + (None if len(axes) == len(sizes) else axes,))
+                dctn.append(types + (axes,))
         self._dctn = tuple(dctn)
         self._type_v = tuple(
-            (ax, b) for ax, b in enumerate(boundaries)
-            if b in (BoundaryType.TYPE_V_MINUS, BoundaryType.TYPE_V_PLUS) and not dense[ax]
+            (ax, b) for ax, b in fft if b in (BoundaryType.TYPE_V_MINUS, BoundaryType.TYPE_V_PLUS)
         )
         self._scaled = not all(dense)
         # the FFT axes' factors; dense axes have theirs in the matrices

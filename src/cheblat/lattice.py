@@ -161,23 +161,32 @@ class BasisEntry:
 
 @dataclass(frozen=True)
 class CartesianSublattice:
-    """A shifted tensor grid: per-axis node counts, node families and
-    half-cell shift flags (as exact fractions of the grid spacing)."""
+    """A shifted tensor grid: per-axis full-circle counts and half-spacing
+    shift flags, with the node counts and families they imply."""
 
-    counts: tuple[int, ...]
-    boundaries: tuple[BoundaryType, ...]
-    offset: tuple[Fraction, ...]
     circle_counts: tuple[int, ...]
+    shift: tuple[int, ...]  # 1 where the axis is offset by half a spacing
+    counts: tuple[int, ...] = field(init=False)
+    boundaries: tuple[BoundaryType, ...] = field(init=False)
+
+    def __post_init__(self):
+        specs = [grid_spec_from_circle(N, s) for N, s in zip(self.circle_counts, self.shift)]
+        object.__setattr__(self, "counts", tuple(n for n, _ in specs))
+        object.__setattr__(self, "boundaries", tuple(b for _, b in specs))
+
+    @property
+    def offset(self) -> tuple[Fraction, ...]:
+        """Per-axis shift as an exact fraction of the grid spacing."""
+        return tuple(Fraction(s, 2) for s in self.shift)
 
     @property
     def npoints(self) -> int:
-        return int(np.prod(self.counts))
+        return math.prod(self.counts)
 
     def axis_theta_fractions(self, axis: int) -> list[Fraction]:
         """Node angles along one axis as exact fractions of pi."""
         N = self.circle_counts[axis]
-        shift = int(2 * self.offset[axis])  # 0 or 1
-        return [Fraction(shift + 2 * j, N) for j in range(self.counts[axis])]
+        return [Fraction(self.shift[axis] + 2 * j, N) for j in range(self.counts[axis])]
 
 
 @dataclass
@@ -211,30 +220,6 @@ def _axis_response(k: int, N: int, shift: int) -> tuple[int, int]:
     return f, (-1 if (m * shift) % 2 else 1)
 
 
-class _Grid:
-    """Internal sublattice descriptor: per-axis full-circle counts and
-    half-shift flags, with derived node counts and families."""
-
-    __slots__ = ("circle", "shift", "sizes", "boundaries", "max_freqs", "npoints")
-
-    def __init__(self, circle: tuple[int, ...], shift: tuple[int, ...]):
-        self.circle = circle
-        self.shift = shift
-        specs = [grid_spec_from_circle(N, s) for N, s in zip(circle, shift)]
-        self.sizes = tuple(n for n, _ in specs)
-        self.boundaries = tuple(b for _, b in specs)
-        self.max_freqs = tuple(n - 1 for n, _ in specs)
-        self.npoints = int(np.prod(self.sizes))
-
-    def axis_fracs(self, axis: int) -> list[Fraction]:
-        N = self.circle[axis]
-        o = self.shift[axis]
-        return [Fraction(o + 2 * j, N) for j in range(self.sizes[axis])]
-
-    def max_freq(self, axis: int) -> int:
-        return self.max_freqs[axis]
-
-
 def _reciprocal_matrix(family: Family, dim: int, resolution: int) -> np.ndarray:
     n = resolution
     if family is Family.CARTESIAN:
@@ -252,7 +237,7 @@ def _reciprocal_matrix(family: Family, dim: int, resolution: int) -> np.ndarray:
     raise LatticeError(f"unknown family {family}")
 
 
-def _bravais_grids(Q: np.ndarray) -> list[_Grid]:
+def _bravais_grids(Q: np.ndarray) -> list[CartesianSublattice]:
     """Decompose the dual of an integer reciprocal lattice into shifted grids.
 
     Per-axis spacings come from the column gcds of Q; candidate half-shift
@@ -271,7 +256,7 @@ def _bravais_grids(Q: np.ndarray) -> list[_Grid]:
                 ok = False
                 break
         if ok:
-            grids.append(_Grid(circle=circle, shift=shift))
+            grids.append(CartesianSublattice(circle, shift))
     return grids
 
 
@@ -283,13 +268,13 @@ def _bravais_grids(Q: np.ndarray) -> list[_Grid]:
 _OCT7_CELL_RESIDUES = ((0, 0), (2, 0), (0, 2), (1, 1), (1, 3), (3, 1), (3, 3))
 
 
-def _composite_oct7_grids(resolution: int) -> list[_Grid]:
+def _composite_oct7_grids(resolution: int) -> list[CartesianSublattice]:
     N = 2 * resolution
     return [
-        _Grid(circle=(N, N), shift=(0, 0)),
-        _Grid(circle=(N, N), shift=(1, 0)),
-        _Grid(circle=(N, N), shift=(0, 1)),
-        _Grid(circle=(2 * N, 2 * N), shift=(1, 1)),
+        CartesianSublattice((N, N), (0, 0)),
+        CartesianSublattice((N, N), (1, 0)),
+        CartesianSublattice((N, N), (0, 1)),
+        CartesianSublattice((2 * N, 2 * N), (1, 1)),
     ]
 
 
@@ -333,10 +318,7 @@ class ChebyshevLattice:
     def _build_points(self) -> None:
         blocks = []
         for g in self._grids:
-            axes = [
-                (g.shift[ax] + 2.0 * np.arange(g.sizes[ax])) / g.circle[ax]
-                for ax in range(self.dim)
-            ]
+            axes = [np.array(g.axis_theta_fractions(ax), dtype=float) for ax in range(self.dim)]
             mesh = np.meshgrid(*axes, indexing="ij")
             blocks.append(np.column_stack([m.ravel() for m in mesh]))
         fracs = np.vstack(blocks)
@@ -348,11 +330,8 @@ class ChebyshevLattice:
     @property
     def point_fractions(self) -> list[tuple[Fraction, ...]]:
         """Node angles as exact fractions of pi, computed on each access."""
-        rows: list[tuple[Fraction, ...]] = []
-        for g in self._grids:
-            axes = [g.axis_fracs(ax) for ax in range(self.dim)]
-            rows.extend(itertools.product(*axes))
-        return rows
+        return [row for g in self._grids
+                for row in itertools.product(*map(g.axis_theta_fractions, range(self.dim)))]
 
     # ------------------------------------------------------------- basis
 
@@ -361,7 +340,7 @@ class ChebyshevLattice:
         of the complex exponential unchanged on every sublattice."""
         for g in self._grids:
             parity = 0
-            for vi, N, o in zip(v, g.circle, g.shift):
+            for vi, N, o in zip(v, g.circle_counts, g.shift):
                 if vi % N:
                     return False
                 parity += (vi // N) * o
@@ -411,12 +390,12 @@ class ChebyshevLattice:
                 val = 1
                 flat = 0
                 for ax in range(self.dim):
-                    f, sgn = _axis_response(member[ax], g.circle[ax], g.shift[ax])
-                    if sgn == 0 or f > g.max_freq(ax):
+                    f, sgn = _axis_response(member[ax], g.circle_counts[ax], g.shift[ax])
+                    if sgn == 0 or f >= g.counts[ax]:
                         val = 0
                         break
                     val *= sgn
-                    flat = flat * g.sizes[ax] + f
+                    flat = flat * g.counts[ax] + f
                 if val:
                     slot = (si, flat)
                     out[slot] = out.get(slot, 0) + val
@@ -426,12 +405,12 @@ class ChebyshevLattice:
         d = self.dim
         grids = self._grids
         self._coarse_N = tuple(
-            math.gcd(*(g.circle[ax] for g in grids)) for ax in range(d)
+            math.gcd(*(g.circle_counts[ax] for g in grids)) for ax in range(d)
         )
         # collect slots per coarse aliasing key
         comp_slots: dict[tuple[int, ...], list[tuple[int, int]]] = {}
         for si, g in enumerate(grids):
-            sizes = g.sizes
+            sizes = g.counts
             for flat, idx in enumerate(itertools.product(*[range(s) for s in sizes])):
                 key = tuple(_fold(idx[ax], self._coarse_N[ax]) for ax in range(d))
                 comp_slots.setdefault(key, []).append((si, flat))
@@ -510,17 +489,7 @@ class ChebyshevLattice:
     # ----------------------------------------------------------- queries
 
     def sublattices(self) -> list[CartesianSublattice]:
-        out = []
-        for g in self._grids:
-            out.append(
-                CartesianSublattice(
-                    counts=g.sizes,
-                    boundaries=g.boundaries,
-                    offset=tuple(Fraction(s, 2) for s in g.shift),
-                    circle_counts=g.circle,
-                )
-            )
-        return out
+        return list(self._grids)
 
     @property
     def cell_point_count(self) -> int:

@@ -58,10 +58,10 @@ class TransformPlan:
         self.lattice = lattice
         self._slot_base = lattice._slot_base
         self.buckets = self._bucketize(lattice)
-        self._grid_dcts = tuple(GridDCT(g.sizes, g.boundaries) for g in lattice._grids)
+        self._grid_dcts = tuple(GridDCT(g.counts, g.boundaries) for g in lattice._grids)
 
-    def _bucketize(self, lattice: ChebyshevLattice) -> list[_Bucket]:
-        # response bytes -> (first group, M, slot lists, entry lists)
+    def _bucketize(self, lattice: ChebyshevLattice) -> tuple[_Bucket, ...]:
+        # response bytes -> (first group, M, V, slot lists, entry lists)
         table: dict[bytes, tuple] = {}
         for comp in lattice.components:
             V = comp.response
@@ -73,21 +73,23 @@ class TransformPlan:
                     raise LatticeError(
                         f"aliasing matrix for group {comp.key} is singular"
                     ) from exc
-                table[key] = (comp, M, [], [])
-            _, _, slots, entries = table[key]
+                V = V.copy()  # the plan's own, read-only like M
+                M.flags.writeable = V.flags.writeable = False
+                table[key] = (comp, M, V, [], [])
+            _, _, _, slots, entries = table[key]
             slots.append([self._slot_base[si] + fi for si, fi in comp.slots])
             entries.append(comp.entry_ids)
-        return [
+        return tuple(
             _Bucket(
                 class_key=first.key,
                 members=tuple(lattice.basis[i].members for i in first.entry_ids),
                 M=M,
-                V=first.response,
+                V=V,
                 slots=np.asarray(slots, dtype=np.int64).T,
                 entries=np.asarray(entries, dtype=np.int64).T,
             )
-            for first, M, slots, entries in table.values()
-        ]
+            for first, M, V, slots, entries in table.values()
+        )
 
     def aliasing_matrices(self) -> list[AliasingMatrix]:
         """The deduplicated aliasing systems, for inspection and testing."""

@@ -283,11 +283,12 @@ def test_grid_dct_validates_and_keeps_scales_read_only():
 
 
 # grids with axes on both sides of the dense/FFT cut, and the mixes above
+CUT = dct._DENSE_MAX
 DENSE_AND_FFT = MIXED_3D + [
-    ((18, 3, 17), (I, II, VM)),
-    ((2, 19, 4), (I, VP, II)),
-    ((20, 17), (II, VP)),
-    ((18, 21), (I, I)),
+    ((CUT + 2, 3, CUT + 1), (I, II, VM)),
+    ((2, CUT + 3, 4), (I, VP, II)),
+    ((CUT + 4, CUT + 1), (II, VP)),
+    ((CUT + 2, CUT + 5), (I, I)),
 ]
 
 

@@ -33,6 +33,18 @@ def test_cartesian_plan_single_identity_matrix():
     assert np.array_equal(mats[0].M, np.eye(1))
 
 
+def test_aliasing_matrices_are_read_only():
+    # aliasing_matrices() hands out the plan's own matrices, so a write
+    # must fail instead of corrupting later transforms
+    P = tf.plan(lat.build("bcc", 3, 4))
+    for A in P.aliasing_matrices():
+        with pytest.raises(ValueError):
+            A.M[0, 0] = 2.0
+    for b in P.buckets:
+        with pytest.raises(ValueError):
+            b.V[0, 0] = 2.0
+
+
 def test_padua_bcc_matrices_half_entries():
     for family, dim in (("padua", 2), ("bcc", 3)):
         L = lat.build(family, dim, 4)
@@ -77,7 +89,7 @@ def test_class_matrix_is_inverse_of_direct_evaluation():
                 vals = np.zeros(th.shape[0])
                 for member in entry.members:
                     vals += np.prod(np.cos(th * np.asarray(member)), axis=1)
-                coeffs = dct_nd(vals.reshape(g.sizes), g.boundaries).ravel()
+                coeffs = dct_nd(vals.reshape(g.counts), g.boundaries).ravel()
                 for i, (sj, flat) in enumerate(comp.slots):
                     if sj == si:
                         V[i, j] = coeffs[flat]
@@ -252,11 +264,11 @@ def test_bravais_adjoint_is_inverse_up_to_scaling():
         wnode = np.ones(L.npoints)
         for si, g in enumerate(L._grids):
             lo, hi = L._slot_base[si], L._slot_base[si + 1]
-            W = np.ones(g.sizes)
+            W = np.ones(g.counts)
             for ax in range(L.dim):
                 shp = [1] * L.dim
-                shp[ax] = g.sizes[ax]
-                W = W * node_weights(g.sizes[ax], g.boundaries[ax]).reshape(shp)
+                shp[ax] = g.counts[ax]
+                W = W * node_weights(g.counts[ax], g.boundaries[ax]).reshape(shp)
             wnode[lo:hi] = W.ravel()
         for j in range(0, len(L.basis), max(1, len(L.basis) // 8)):
             u = np.zeros(len(L.basis))
