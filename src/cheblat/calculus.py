@@ -125,37 +125,6 @@ def evaluate(interp: Interpolant, x) -> float | np.ndarray:
 # ---------------------------------------------------------------- d/dx
 
 
-@dataclass
-class DiffPlan:
-    """Per-axis chain layout of the basis member indices.
-
-    For each axis: a stable lexicographic permutation putting that axis
-    least significant, chain boundary offsets (runs whose other
-    components agree), and the member degrees along the axis.
-    """
-
-    orders: list[np.ndarray]
-    chain_starts: list[np.ndarray]
-
-
-def _diff_plan(members: np.ndarray) -> DiffPlan:
-    dim = members.shape[1]
-    orders = []
-    starts = []
-    for axis in range(dim):
-        rest = [members[:, a] for a in range(dim) if a != axis]
-        order = np.lexsort([members[:, axis]] + rest)
-        sorted_rest = members[order][:, [a for a in range(dim) if a != axis]]
-        if sorted_rest.shape[1]:
-            change = np.any(sorted_rest[1:] != sorted_rest[:-1], axis=1)
-            cs = np.flatnonzero(np.r_[True, change])
-        else:
-            cs = np.array([0])
-        orders.append(order)
-        starts.append(cs)
-    return DiffPlan(orders=orders, chain_starts=starts)
-
-
 def _chain_derivative(degs: np.ndarray, coefs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """First-kind derivative along one chain: T_k' = 2k T_{k-1} + k/(k-2) T_{k-2}'."""
     kmax = int(degs.max())
@@ -184,26 +153,28 @@ def differentiate(interp: Interpolant, axis: int) -> Interpolant:
     if not 0 <= axis < lattice.dim:
         raise CalculusError(f"axis {axis} out of range for dim {lattice.dim}")
     members, owners = lattice.basis_member_matrix()
-    dplan = _diff_plan(members)
-    mcoefs = interp.coeffs[owners]
-    order = dplan.orders[axis]
-    starts = dplan.chain_starts[axis]
+    # chains: runs of members whose other components agree, by degree along the axis
+    rest = [a for a in range(lattice.dim) if a != axis]
+    order = np.lexsort([members[:, axis]] + [members[:, a] for a in rest])
     sm = members[order]
-    sc = mcoefs[order]
-    out = np.zeros_like(interp.coeffs)
-    bounds = list(starts) + [len(order)]
-    for ci in range(len(starts)):
-        lo, hi = bounds[ci], bounds[ci + 1]
+    sc = interp.coeffs[owners][order]
+    starts = np.flatnonzero(np.r_[True, np.any(sm[1:, rest] != sm[:-1, rest], axis=1)])
+    indices, values = [], []
+    for lo, hi in zip(starts, np.r_[starts[1:], len(sm)]):
         degs = sm[lo:hi, axis]
         if degs.max() == 0:
             continue
         nz, vals = _chain_derivative(degs, sc[lo:hi])
-        rest = sm[lo]
-        for j, v in zip(nz, vals):
-            idx = tuple(int(rest[a]) if a != axis else int(j) for a in range(lattice.dim))
-            bi = lattice.basis_index_of(idx)
-            if bi is not None:
-                out[bi] += v / len(lattice.basis[bi].members)
+        idx = np.repeat(sm[lo:lo + 1], len(nz), axis=0)
+        idx[:, axis] = nz
+        indices.append(idx)
+        values.append(vals)
+    out = np.zeros_like(interp.coeffs)
+    if indices:
+        pos = lattice._entry_positions(np.vstack(indices))
+        vals = np.concatenate(values)[pos >= 0]
+        pos = pos[pos >= 0]
+        np.add.at(out, pos, vals / np.bincount(owners)[pos])
     return Interpolant(lattice, out)
 
 

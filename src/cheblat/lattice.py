@@ -33,6 +33,22 @@ per collocation point, selected per aliasing group as the lowest Euclidean
 norm candidates.  When several mutually aliasing indices share the minimal
 norm the basis entry stores their equal-weight sum and the entry is
 flagged as a tie combination.
+
+Aliasing classes have exact integer keys.  A frequency shift ``v`` leaves
+the samples of grid ``g`` (circle counts ``N_g``, half shifts ``s_g``)
+unchanged when every ``v_a`` is a multiple of ``N_{g,a}`` and
+``sum_a (v_a / N_{g,a}) s_{g,a}`` is even; the shifts that do so on every
+grid form a reflection-invariant lattice ``L`` (the Brillouin-zone view of
+Conway & Sloane, *Sphere Packings, Lattices and Groups*).  With ``M_a`` the
+lcm of the grids' ``N_{g,a}``, the key of ``v`` is ``v mod M`` per axis
+followed by one parity bit ``sum_a floor(v_a / N_{g,a}) s_{g,a} mod 2`` per
+grid: two vectors share it exactly when they differ by an element of
+``L``, and the minimum key over the sign flips of ``k`` is the class id of
+``k``.  Since ``2 M Z^d`` lies in ``L``, replacing a coordinate
+``k_a > M_a`` by ``2 M_a - k_a`` stays in the class and lowers the norm, so
+every lowest-norm member of every class lies in the box
+``[0, M_1] x ... x [0, M_d]``.  The basis is built from that box alone,
+sorted once by (norm, index) and grouped by class id.
 """
 
 from __future__ import annotations
@@ -91,9 +107,6 @@ class ReciprocalBasis:
     Q: np.ndarray
     scale: int
 
-    def real_basis(self) -> np.ndarray:
-        return 2.0 * np.pi * np.linalg.inv(np.asarray(self.Q, dtype=float)).T
-
     def duality_defect(self) -> Fraction:
         """Max abs deviation of ``P Q^T / (2 pi)`` from identity, exactly."""
         Q = [[int(v) for v in row] for row in np.asarray(self.Q)]
@@ -135,7 +148,7 @@ def _int_adjugate(M: list[list[int]]) -> list[list[int]]:
     return adj
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class BasisEntry:
     """One unisolvent basis function: a Chebyshev product index, or an
     equal-weight sum of mutually aliasing indices of the same norm."""
@@ -189,7 +202,7 @@ class CartesianSublattice:
         return [Fraction(self.shift[axis] + 2 * j, N) for j in range(self.counts[axis])]
 
 
-@dataclass
+@dataclass(slots=True)
 class ComponentSystem:
     """One mutually aliasing group: lattice-wide DCT slots and the basis
     entries visible on them, with the sampled response matrix."""
@@ -197,27 +210,9 @@ class ComponentSystem:
     key: tuple[int, ...]
     slots: list[tuple[int, int]]  # (sublattice index, flat grid index)
     entry_ids: list[int]
-    response: np.ndarray  # shape (len(slots), len(entry_ids))
-
-
-def _fold(k: int, N: int) -> int:
-    r = k % N
-    return r if 2 * r <= N else N - r
-
-
-def _axis_response(k: int, N: int, shift: int) -> tuple[int, int]:
-    """Fold frequency and sampling sign of cos(k theta) on an (N, shift) grid.
-
-    Writing ``k = m N + eps f`` with ``f`` the folded frequency, the grid
-    samples equal ``(-1)^(m * shift) cos(f theta)``; the sign is the return
-    value, and 0 signals the invisible half-shift top mode ``2f = N``.
-    """
-    r = k % N
-    f = r if 2 * r <= N else N - r
-    if shift and 2 * f == N:
-        return f, 0
-    m = (k - f) // N if r == f else (k + f) // N
-    return f, (-1 if (m * shift) % 2 else 1)
+    # integer, shape (len(slots), len(entry_ids)): each entry is a sum of
+    # the +-1 sampling signs of the column entry's members on the row slot
+    response: np.ndarray
 
 
 def _reciprocal_matrix(family: Family, dim: int, resolution: int) -> np.ndarray:
@@ -278,6 +273,17 @@ def _composite_oct7_grids(resolution: int) -> list[CartesianSublattice]:
     ]
 
 
+def _fold_code(ks: np.ndarray, coarse: np.ndarray) -> np.ndarray:
+    """Mixed-radix code of each row's per-axis fold ``min(k mod c, c - k mod c)``."""
+    r = ks % coarse
+    return np.ravel_multi_index(tuple(np.minimum(r, coarse - r).T), coarse // 2 + 1)
+
+
+def _box_norm2(shape: tuple[int, ...]) -> np.ndarray:
+    """Squared norm of every index of the box ``[0, shape)``, in C order."""
+    return sum(np.ix_(*[np.arange(n) ** 2 for n in shape])).ravel()
+
+
 class ChebyshevLattice:
     """A collocation lattice with its unisolvent Chebyshev basis.
 
@@ -335,156 +341,183 @@ class ChebyshevLattice:
 
     # ------------------------------------------------------------- basis
 
-    def _identity_shift(self, v: tuple[int, ...]) -> bool:
-        """True when translating a frequency by v leaves the sampled values
-        of the complex exponential unchanged on every sublattice."""
-        for g in self._grids:
-            parity = 0
-            for vi, N, o in zip(v, g.circle_counts, g.shift):
-                if vi % N:
-                    return False
-                parity += (vi // N) * o
-            if parity % 2:
-                return False
-        return True
+    def _class_ids(self, shape: tuple[int, ...]) -> np.ndarray:
+        """Exact alias-class id of every index of the box ``[0, shape)``, in C order.
 
-    def _same_class(self, a: tuple[int, ...], b: tuple[int, ...]) -> bool:
+        The coset key of ``v`` is ``v mod period`` per axis (mixed radix)
+        followed by one parity bit per grid, ``sum_a floor(v_a / N_a) shift_a
+        mod 2``.  Two vectors share it exactly when their difference shifts
+        no sample of any grid.  Those shifts form a reflection-invariant
+        lattice, so the key's minimum over the sign flips of ``v`` names the
+        class of ``v``.
+        """
+        best = None
         for signs in itertools.product((1, -1), repeat=self.dim):
-            v = tuple(bi - s * ai for ai, bi, s in zip(a, b, signs))
-            if self._identity_shift(v):
-                return True
-        return False
+            key, parity = 0, 0
+            for a, (sign, n, period) in enumerate(zip(signs, shape, self._period)):
+                v = sign * np.arange(n).reshape((n,) + (1,) * (self.dim - 1 - a))
+                key = key * period + v % period
+                for bit, g in enumerate(self._grids):
+                    parity = parity ^ (((v // g.circle_counts[a]) * g.shift[a] % 2) << bit)
+            ids = (key << len(self._grids)) | parity
+            best = ids if best is None else np.minimum(best, ids)
+        return best.ravel()
 
-    def _axis_candidates(self, w: int, N: int, vmax: int) -> list[int]:
-        vals = set()
-        for base in (w % N, (N - w % N) % N):
-            v = base
-            while v <= vmax:
-                vals.add(v)
-                v += N
-        return sorted(vals)
+    def _box_classes(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+        """The alias classes met in the box, numbered by their first member.
 
-    def _component_candidates(
-        self, key: tuple[int, ...], periods: int
-    ) -> tuple[list[tuple[int, ...]], np.ndarray]:
-        coarse = self._coarse_N
-        axis_vals = [
-            np.asarray(
-                self._axis_candidates(key[i], coarse[i], periods * coarse[i] + key[i]),
-                dtype=np.int64,
-            )
-            for i in range(self.dim)
-        ]
-        mesh = np.meshgrid(*axis_vals, indexing="ij")
-        cands = np.column_stack([m.ravel() for m in mesh])
-        n2 = (cands * cands).sum(axis=1)
-        keys = tuple(cands[:, i] for i in range(self.dim - 1, -1, -1)) + (n2,)
-        order = np.lexsort(keys)
-        return cands[order], n2[order]
+        Members are ordered by (norm, box index); the box index is the
+        C-order position in ``[0, period]^d``, so it orders members
+        lexicographically.  Returns the box index and squared norm of each
+        class's first member, and the box index and class number of every
+        member of lowest norm.
+        """
+        norm2 = _box_norm2(self._box)
+        order = np.argsort(norm2, kind="stable")
+        norm2 = norm2[order]
+        _, first, cls = np.unique(self._class_ids(self._box)[order],
+                                  return_index=True, return_inverse=True)
+        number = np.empty_like(first)
+        number[np.argsort(first)] = np.arange(len(first))
+        lowest = np.flatnonzero(norm2 == norm2[first][cls])
+        first = np.sort(first)
+        return order[first], norm2[first], order[lowest], number[cls[lowest]]
 
-    def _entry_response_row(self, members) -> dict[tuple[int, int], int]:
-        """Map (sublattice, flat slot) -> summed sampling sign for an entry."""
-        out: dict[tuple[int, int], int] = {}
-        for member in members:
-            for si, g in enumerate(self._grids):
-                val = 1
-                flat = 0
-                for ax in range(self.dim):
-                    f, sgn = _axis_response(member[ax], g.circle_counts[ax], g.shift[ax])
-                    if sgn == 0 or f >= g.counts[ax]:
-                        val = 0
-                        break
-                    val *= sgn
-                    flat = flat * g.counts[ax] + f
-                if val:
-                    slot = (si, flat)
-                    out[slot] = out.get(slot, 0) + val
-        return {k: v for k, v in out.items() if v != 0}
+    def _samples(self, ks: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Lattice-wide slot and sampling sign of each row of ``ks`` per grid.
+
+        Writing ``k = m N + eps f`` with ``f`` the folded frequency, an
+        ``(N, shift)`` axis samples ``(-1)^(m shift) cos(f theta)``.  The sign
+        is 0 where ``f`` reaches no node: the half-shift top mode ``2f = N``.
+        Both arrays have shape (ngrids, len(ks)).
+        """
+        slots = np.empty((len(self._grids), len(ks)), dtype=np.int64)
+        signs = np.empty_like(slots)
+        for gi, g in enumerate(self._grids):
+            flat, odd, seen = 0, 0, True
+            for k, N, shift, n in zip(ks.T, g.circle_counts, g.shift, g.counts):
+                r = k % N
+                f = np.minimum(r, N - r)
+                odd = odd + (k // N + (r != f)) * shift
+                seen = seen & (f < n)
+                flat = flat * n + f
+            slots[gi] = self._slot_base[gi] + flat
+            signs[gi] = np.where(seen, 1 - 2 * (odd % 2), 0)
+        return slots, signs
+
+    def _slot_groups(self, coarse: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Code and slot count of each aliasing group, and the slots group by group.
+
+        A slot's group key is its per-axis fold modulo ``coarse``; a group's
+        slots keep their (grid, flat) order.
+        """
+        slot_codes = np.concatenate([_fold_code(np.indices(g.counts).reshape(self.dim, -1).T,
+                                                coarse) for g in self._grids])
+        codes, slot_group = np.unique(slot_codes, return_inverse=True)
+        return codes, np.bincount(slot_group), np.argsort(slot_group, kind="stable")
+
+    def _select_entries(self, coarse, codes, keys, need):
+        """The ``need`` lowest-norm visible classes of each group, as entries.
+
+        Classes are ranked within their group by (norm, canonical index),
+        which is also the basis order.  Returns every entry member's box
+        index and entry (members lexicographic within an entry), the entries
+        group by group, and the groups whose cut falls between tied classes.
+        """
+        first, first_norm2, lowest, lowest_cls = self._box_classes()
+        reps = np.column_stack(np.unravel_index(first, self._box))
+        visible = np.flatnonzero(np.any(self._samples(reps)[1], axis=0))
+        group = np.searchsorted(codes, _fold_code(reps[visible], coarse))
+        by_group = np.argsort(group, kind="stable")
+        visible, group = visible[by_group], group[by_group]
+        nvis = np.bincount(group, minlength=len(codes))
+        short = np.flatnonzero(nvis < need)
+        if short.size:
+            raise LatticeError(f"could not close aliasing group {keys[short[0]]}")
+        rank = np.arange(len(visible)) - np.repeat(np.cumsum(nvis) - nvis, nvis)
+        # a cut tie: the first class left out has the norm of the last one taken
+        cut = np.flatnonzero(rank == need[group])
+        cut = cut[first_norm2[visible[cut]] == first_norm2[visible[cut - 1]]]
+
+        taken = rank < need[group]
+        entry_of = np.full(len(first), -1)
+        entry_of[np.sort(visible[taken])] = np.arange(self.npoints)
+        owners = entry_of[lowest_cls]
+        kept = np.flatnonzero(owners >= 0)
+        kept = kept[np.argsort(owners[kept], kind="stable")]
+        return lowest[kept], owners[kept], entry_of[visible[taken]], group[cut]
+
+    def _responses(self, members, owners, slot_order, entry_order, need) -> np.ndarray:
+        """Every group's response matrix, flattened one after another.
+
+        ``slot_order`` and ``entry_order`` list each group's slots and
+        entries in turn; positions within a group are rows and columns.
+        ``response[row, col]`` sums the sampling signs of the entry's members.
+        """
+        group = np.repeat(np.arange(len(need)), need)
+        within = np.arange(len(group)) - np.repeat(np.cumsum(need) - need, need)
+        row, col, entry_group = np.empty_like(within), np.empty_like(within), np.empty_like(group)
+        row[slot_order], col[entry_order], entry_group[entry_order] = within, within, group
+        slots, signs = self._samples(members)
+        hit = signs != 0
+        entry = np.broadcast_to(owners, hit.shape)[hit]
+        group = entry_group[entry]
+        size = need * need
+        response = np.zeros(size.sum(), dtype=np.int64)
+        np.add.at(response, np.cumsum(size)[group] - size[group] + row[slots[hit]] * need[group]
+                  + col[entry], signs[hit])
+        response.flags.writeable = False
+        return response
 
     def _build_basis(self) -> None:
-        d = self.dim
-        grids = self._grids
-        self._coarse_N = tuple(
-            math.gcd(*(g.circle_counts[ax] for g in grids)) for ax in range(d)
-        )
-        # collect slots per coarse aliasing key
-        comp_slots: dict[tuple[int, ...], list[tuple[int, int]]] = {}
-        for si, g in enumerate(grids):
-            sizes = g.counts
-            for flat, idx in enumerate(itertools.product(*[range(s) for s in sizes])):
-                key = tuple(_fold(idx[ax], self._coarse_N[ax]) for ax in range(d))
-                comp_slots.setdefault(key, []).append((si, flat))
+        """Give every aliasing group its lowest-norm visible classes, all at once.
 
-        self.components: list[ComponentSystem] = []
-        entries: list[BasisEntry] = []
-        self.cut_ties: list[tuple[int, ...]] = []
+        Slots are grouped by their folded frequency modulo ``coarse``, the
+        per-axis gcd of the grids' circle counts; a whole alias class folds
+        into one group.  A group of ``need`` slots takes its ``need`` visible
+        classes of lowest (norm, canonical index) as basis entries.
+        """
+        circle = np.array([g.circle_counts for g in self._grids])
+        coarse = np.gcd.reduce(circle, axis=0)
+        self._period = np.lcm.reduce(circle, axis=0)
+        self._box = tuple(int(p) + 1 for p in self._period)
 
-        for key in sorted(comp_slots):
-            slots = comp_slots[key]
-            need = len(slots)
-            chosen = self._select_component_entries(key, slots, need)
-            entry_ids = []
-            cols = []
-            for members in chosen:
-                row = self._entry_response_row(members)
-                entry_ids.append(len(entries))
-                entries.append(BasisEntry(members=tuple(members)))
-                col = np.zeros(len(slots))
-                for j, slot in enumerate(slots):
-                    col[j] = row.get(slot, 0)
-                cols.append(col)
-            V = np.column_stack(cols) if cols else np.zeros((len(slots), 0))
-            if V.shape[0] != V.shape[1]:
-                raise LatticeError(
-                    f"aliasing group {key}: {V.shape[0]} slots but {V.shape[1]} entries"
-                )
-            if V.size and abs(np.linalg.det(V)) < 1e-9:
-                raise LatticeError(f"aliasing group {key} is numerically singular")
-            self.components.append(
-                ComponentSystem(key=key, slots=slots, entry_ids=entry_ids, response=V)
-            )
+        codes, need, slot_order = self._slot_groups(coarse)
+        keys = list(zip(*(u.tolist() for u in np.unravel_index(codes, coarse // 2 + 1))))
+        member_codes, owners, entry_order, cut = self._select_entries(coarse, codes, keys, need)
+        self.cut_ties = [keys[g] for g in cut.tolist()]
+        members = np.column_stack(np.unravel_index(member_codes, self._box))
+        member_it = zip(*(col.tolist() for col in members.T))
+        self.basis = [BasisEntry(members=tuple(itertools.islice(member_it, n)))
+                      for n in np.bincount(owners).tolist()]
 
-        if len(entries) != self.npoints:
-            raise LatticeError(
-                f"basis cardinality {len(entries)} != point count {self.npoints}"
-            )
+        response = self._responses(members, owners, slot_order, entry_order, need)
+        grid_of = np.searchsorted(self._slot_base, slot_order, side="right") - 1
+        slot_it = zip(grid_of.tolist(), (slot_order - self._slot_base[grid_of]).tolist())
+        entry_it = iter(entry_order.tolist())
+        self.components, at = [], 0
+        for key, n in zip(keys, need.tolist()):
+            self.components.append(ComponentSystem(
+                key=key, slots=list(itertools.islice(slot_it, n)),
+                entry_ids=list(itertools.islice(entry_it, n)),
+                response=response[at:at + n * n].reshape(n, n)))
+            at += n * n
+        # Responses are integer, so a nonsingular one has |det| >= 1.  A lattice
+        # has at most 21 distinct blocks, each at most 7x7 with entries of
+        # absolute value at most 3 (composite-oct7), so |det| <= (3 sqrt 7)^7
+        # < 2.1e6 (Hadamard) and the LU rounding error stays below 1e-6: the
+        # test below is exact.
+        distinct = {(comp.response.shape, comp.response.tobytes()): comp
+                    for comp in self.components}
+        for comp in distinct.values():
+            if abs(np.linalg.det(comp.response)) < 0.5:
+                raise LatticeError(f"aliasing group {comp.key} is singular")
 
-        # canonical storage order: (Euclidean degree, lexicographic canonical)
-        order = sorted(range(len(entries)), key=lambda i: (entries[i].norm2, entries[i].canonical))
-        rank = {old: new for new, old in enumerate(order)}
-        self.basis = [entries[i] for i in order]
-        for comp in self.components:
-            comp.entry_ids = [rank[i] for i in comp.entry_ids]
-
-    def _select_component_entries(self, key, slots, need) -> list[list[tuple[int, ...]]]:
-        """Pick the `need` lowest-norm alias classes visible on these slots."""
-        for periods in (2, 3, 5):
-            cand_rows, norms = self._component_candidates(key, periods)
-            classes: list[dict] = []  # {"members": [...], "norm2": int, "visible": bool}
-            closed = False
-            for row, n2 in zip(cand_rows, norms):
-                cand = tuple(map(int, row))
-                n2 = int(n2)
-                placed = False
-                for cl in classes:
-                    if self._same_class(cl["members"][0], cand):
-                        if n2 == cl["norm2"] and cand not in cl["members"]:
-                            cl["members"].append(cand)
-                        placed = True
-                        break
-                if not placed:
-                    visible = bool(self._entry_response_row([cand]))
-                    classes.append({"members": [cand], "norm2": n2, "visible": visible})
-                vis = [cl for cl in classes if cl["visible"]]
-                if len(vis) >= need and n2 > vis[need - 1]["norm2"]:
-                    closed = True
-                    break
-            vis = [cl for cl in classes if cl["visible"]]
-            if len(vis) >= need and closed:
-                if len(vis) > need and vis[need - 1]["norm2"] == vis[need]["norm2"]:
-                    self.cut_ties.append(key)
-                return [sorted(cl["members"]) for cl in vis[:need]]
-        raise LatticeError(f"could not close aliasing group {key}")
+        by_code = np.argsort(member_codes)
+        self._members, self._owners = members, owners
+        self._member_codes, self._code_owners = member_codes[by_code], owners[by_code]
+        for a in (self._members, self._owners, self._member_codes, self._code_owners):
+            a.flags.writeable = False
 
     # ----------------------------------------------------------- queries
 
@@ -499,19 +532,12 @@ class ChebyshevLattice:
             return 7
         return len(self._grids)
 
-    def basis_array(self) -> np.ndarray:
-        """Canonical indices as an (nbasis, dim) int array."""
-        return np.array([e.canonical for e in self.basis], dtype=np.int64)
-
     def basis_member_matrix(self) -> tuple[np.ndarray, np.ndarray]:
-        """All member indices stacked, plus the owning entry of each row."""
-        members = []
-        owners = []
-        for i, e in enumerate(self.basis):
-            for m in e.members:
-                members.append(m)
-                owners.append(i)
-        return np.array(members, dtype=np.int64), np.array(owners, dtype=np.int64)
+        """All member indices stacked, plus the owning entry of each row.
+
+        Both arrays are the lattice's own and read-only.
+        """
+        return self._members, self._owners
 
     def basis_matrix(self, thetas: np.ndarray) -> np.ndarray:
         """Values of every basis function at angle-space points.
@@ -528,14 +554,18 @@ class ChebyshevLattice:
         return np.add.reduceat(vals, starts, axis=1)
 
     def basis_index_of(self, k) -> int | None:
-        """Position of the entry whose class contains folded index k."""
-        if not hasattr(self, "_basis_lookup"):
-            lookup = {}
-            for i, e in enumerate(self.basis):
-                for m in e.members:
-                    lookup[m] = i
-            self._basis_lookup = lookup
-        return self._basis_lookup.get(tuple(int(v) for v in k))
+        """Position of the entry that has index k as a member, or None."""
+        pos = int(self._entry_positions(np.asarray([k]))[0])
+        return pos if pos >= 0 else None
+
+    def _entry_positions(self, ks: np.ndarray) -> np.ndarray:
+        """`basis_index_of` for each row of an (n, dim) array, -1 for None."""
+        ks = np.asarray(ks, dtype=np.int64)
+        inside = np.all((ks >= 0) & (ks < self._box), axis=1)
+        codes = np.ravel_multi_index(tuple(np.where(inside[:, None], ks, 0).T), self._box)
+        at = np.searchsorted(self._member_codes, codes).clip(max=len(self._member_codes) - 1)
+        found = inside & (self._member_codes[at] == codes)
+        return np.where(found, self._code_owners[at], -1)
 
     def euclidean_degree(self) -> float:
         """Inscribed-ball radius of the basis index region."""
@@ -595,16 +625,12 @@ def aliasing_class(lattice: ChebyshevLattice, k) -> tuple[tuple[int, ...], list[
     """
     k = tuple(int(v) for v in k)
     norm2_k = sum(v * v for v in k)
-    vmax = int(math.isqrt(norm2_k)) + 1
-    found = []
-    for cand in itertools.product(range(vmax + 1), repeat=lattice.dim):
-        if sum(v * v for v in cand) > norm2_k:
-            continue
-        if lattice._same_class(k, cand):
-            found.append(cand)
-    members = sorted(found, key=lambda t: (sum(v * v for v in t), t))
-    if not members:
-        members = [k]
+    box = (math.isqrt(norm2_k) + 2,) * lattice.dim
+    ids = lattice._class_ids(box)
+    norm2 = _box_norm2(box)
+    found = np.flatnonzero((ids == ids[np.ravel_multi_index(np.abs(k), box)]) & (norm2 <= norm2_k))
+    found = found[np.argsort(norm2[found], kind="stable")]  # (norm, index) order
+    members = list(zip(*(u.tolist() for u in np.unravel_index(found, box))))
     return members[0], members
 
 

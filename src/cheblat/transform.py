@@ -61,11 +61,11 @@ class TransformPlan:
         self._grid_dcts = tuple(GridDCT(g.counts, g.boundaries) for g in lattice._grids)
 
     def _bucketize(self, lattice: ChebyshevLattice) -> tuple[_Bucket, ...]:
-        # response bytes -> (first group, M, V, slot lists, entry lists)
-        table: dict[bytes, tuple] = {}
+        # (shape, response bytes) -> (first group, M, V, slot lists, entry lists)
+        table: dict[tuple, tuple] = {}
         for comp in lattice.components:
             V = comp.response
-            key = V.round(9).tobytes() + bytes(str(V.shape), "ascii")
+            key = (V.shape, V.tobytes())  # responses are integer: exact keys
             if key not in table:
                 try:
                     M = np.linalg.inv(V)
@@ -73,7 +73,7 @@ class TransformPlan:
                     raise LatticeError(
                         f"aliasing matrix for group {comp.key} is singular"
                     ) from exc
-                V = V.copy()  # the plan's own, read-only like M
+                V = V.astype(float)  # the plan's own, read-only like M
                 M.flags.writeable = V.flags.writeable = False
                 table[key] = (comp, M, V, [], [])
             _, _, _, slots, entries = table[key]

@@ -6,6 +6,9 @@ algebra so it shares no code path with the fast implementations under test.
 
 from __future__ import annotations
 
+import itertools
+import math
+
 import numpy as np
 
 from cheblat.dct import BoundaryType, nodes_1d
@@ -95,3 +98,149 @@ def alias_search(Q: np.ndarray, k, radius: float) -> list[tuple[int, ...]]:
         for img in images[norms <= radius + 1e-9]:
             found.add(tuple(int(v) for v in img))
     return sorted(found, key=lambda t: (sum(v * v for v in t), t))
+
+
+# ------------------------------------------------------------ basis search
+
+
+def _fold(k: int, N: int) -> int:
+    r = k % N
+    return r if 2 * r <= N else N - r
+
+
+def _axis_response(k: int, N: int, shift: int) -> tuple[int, int]:
+    """Fold frequency and sampling sign of cos(k theta) on an (N, shift) grid.
+
+    Writing ``k = m N + eps f`` with ``f`` the folded frequency, the grid
+    samples equal ``(-1)^(m * shift) cos(f theta)``; the sign is the return
+    value, and 0 signals the invisible half-shift top mode ``2f = N``.
+    """
+    f = _fold(k, N)
+    if shift and 2 * f == N:
+        return f, 0
+    m = (k - f) // N if k % N == f else (k + f) // N
+    return f, (-1 if (m * shift) % 2 else 1)
+
+
+class _BasisSearch:
+    """The per-group pairwise class search that `ChebyshevLattice` once ran.
+
+    Each aliasing group's candidates are scanned in (norm, index) order and
+    compared pairwise against the classes found so far; the candidate range
+    grows through 2, 3 and 5 coarse periods until the group closes.
+    """
+
+    def __init__(self, lattice):
+        self.dim = lattice.dim
+        self.grids = lattice.sublattices()
+        self.coarse = tuple(
+            math.gcd(*(g.circle_counts[ax] for g in self.grids)) for ax in range(self.dim)
+        )
+
+    def identity_shift(self, v) -> bool:
+        for g in self.grids:
+            parity = 0
+            for vi, N, o in zip(v, g.circle_counts, g.shift):
+                if vi % N:
+                    return False
+                parity += (vi // N) * o
+            if parity % 2:
+                return False
+        return True
+
+    def same_class(self, a, b) -> bool:
+        for signs in itertools.product((1, -1), repeat=self.dim):
+            if self.identity_shift(tuple(bi - s * ai for ai, bi, s in zip(a, b, signs))):
+                return True
+        return False
+
+    def response_row(self, members) -> dict:
+        """Map (sublattice, flat slot) -> summed sampling sign for an entry."""
+        out: dict = {}
+        for member in members:
+            for si, g in enumerate(self.grids):
+                val = 1
+                flat = 0
+                for ax in range(self.dim):
+                    f, sgn = _axis_response(member[ax], g.circle_counts[ax], g.shift[ax])
+                    if sgn == 0 or f >= g.counts[ax]:
+                        val = 0
+                        break
+                    val *= sgn
+                    flat = flat * g.counts[ax] + f
+                if val:
+                    out[(si, flat)] = out.get((si, flat), 0) + val
+        return {k: v for k, v in out.items() if v != 0}
+
+    def candidates(self, key, periods):
+        axis_vals = []
+        for w, N in zip(key, self.coarse):
+            vals = set()
+            for base in (w % N, (N - w % N) % N):
+                vals.update(range(base, periods * N + w + 1, N))
+            axis_vals.append(sorted(vals))
+        return sorted(itertools.product(*axis_vals), key=lambda t: (sum(v * v for v in t), t))
+
+    def select(self, key, need, cut_ties) -> list:
+        """The `need` lowest-norm alias classes visible in group `key`."""
+        for periods in (2, 3, 5):
+            classes: list = []  # [members, norm2, visible]
+            closed = False
+            for cand in self.candidates(key, periods):
+                n2 = sum(v * v for v in cand)
+                for cl in classes:
+                    if self.same_class(cl[0][0], cand):
+                        if n2 == cl[1] and cand not in cl[0]:
+                            cl[0].append(cand)
+                        break
+                else:
+                    classes.append([[cand], n2, bool(self.response_row([cand]))])
+                vis = [cl for cl in classes if cl[2]]
+                if len(vis) >= need and n2 > vis[need - 1][1]:
+                    closed = True
+                    break
+            vis = [cl for cl in classes if cl[2]]
+            if closed:
+                if len(vis) > need and vis[need - 1][1] == vis[need][1]:
+                    cut_ties.append(key)
+                return [sorted(cl[0]) for cl in vis[:need]]
+        raise AssertionError(f"could not close aliasing group {key}")
+
+
+def basis_oracle(lattice):
+    """Basis, cut ties and aliasing components by the pairwise class search.
+
+    Returns ``(basis, cut_ties, components)`` in the layout of
+    `ChebyshevLattice`: basis entries sorted by (norm, canonical index),
+    and per aliasing group its key, slots, entry positions and the integer
+    response matrix.
+    """
+    from cheblat.lattice import BasisEntry, ComponentSystem
+
+    search = _BasisSearch(lattice)
+    comp_slots: dict = {}
+    for si, g in enumerate(search.grids):
+        for flat, idx in enumerate(itertools.product(*map(range, g.counts))):
+            key = tuple(_fold(i, N) for i, N in zip(idx, search.coarse))
+            comp_slots.setdefault(key, []).append((si, flat))
+
+    components = []
+    entries: list = []
+    cut_ties: list = []
+    for key in sorted(comp_slots):
+        slots = comp_slots[key]
+        chosen = search.select(key, len(slots), cut_ties)
+        V = np.zeros((len(slots), len(chosen)), dtype=np.int64)
+        for j, members in enumerate(chosen):
+            row = search.response_row(members)
+            for i, slot in enumerate(slots):
+                V[i, j] = row.get(slot, 0)
+        ids = list(range(len(entries), len(entries) + len(chosen)))
+        entries.extend(BasisEntry(members=tuple(m)) for m in chosen)
+        components.append(ComponentSystem(key=key, slots=slots, entry_ids=ids, response=V))
+
+    order = sorted(range(len(entries)), key=lambda i: (entries[i].norm2, entries[i].canonical))
+    rank = {old: new for new, old in enumerate(order)}
+    for comp in components:
+        comp.entry_ids = [rank[i] for i in comp.entry_ids]
+    return [entries[i] for i in order], cut_ties, components

@@ -193,7 +193,7 @@ def test_evaluate_memory_bounded():
 def test_evaluate_and_differentiate_write_no_attributes():
     L, P = make("bcc", 3, 3)
     interp = calc.interpolate(P, np.random.default_rng(9).standard_normal(L.npoints))
-    L.basis_index_of((0, 0, 0))  # builds the lattice's own index lookup
+    L.basis_index_of((0, 0, 0))  # reads the index lookup the lattice built at construction
     before = (set(vars(L)), set(vars(P)), set(vars(interp)))
     calc.evaluate(interp, np.zeros((3, 3)))
     calc.differentiate(interp, 1)

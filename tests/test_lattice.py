@@ -1,3 +1,4 @@
+import copy
 import itertools
 import json
 import math
@@ -8,7 +9,7 @@ import pytest
 
 from cheblat import lattice as lat
 from cheblat.dct import BoundaryType
-from oracles import alias_search
+from oracles import alias_search, basis_oracle
 
 BRAVAIS_2D = [("cartesian", 2), ("padua", 2), ("hex", 2)]
 BRAVAIS_3D = [("bcc", 3), ("fcc", 3)]
@@ -413,6 +414,80 @@ def test_structural_regression(family, dim, res, npoints, ngrids, nties):
     assert len(lat.decompose(L)) == ngrids
     assert sum(1 for e in L.basis if e.is_tie) == nties
     assert not L.cut_ties
+
+
+# ------------------------------------------------------------ basis oracle
+
+# criterion 2's sweep families, and the lattices the cli-oneshot benchmark builds
+PARITY_SWEEP = [("cartesian", 2), ("cartesian", 3), ("padua", 2), ("hex", 2), ("bcc", 3),
+                ("fcc", 3), ("composite-oct7", 2)]
+CLI_ONESHOT_LATTICES = [("hex", 2, 16), ("padua", 2, 64), ("bcc", 3, 24), ("fcc", 3, 12),
+                        ("composite-oct7", 2, 16)]
+
+
+def _assert_matches_basis_oracle(L):
+    basis, cut_ties, components = basis_oracle(L)
+    name = (L.family.value, L.resolution)
+    assert [e.members for e in L.basis] == [e.members for e in basis], name
+    assert L.cut_ties == cut_ties, name
+    assert len(L.components) == len(components), name
+    for got, ref in zip(L.components, components):
+        assert (got.key, got.slots, got.entry_ids) == (ref.key, ref.slots, ref.entry_ids), name
+        assert got.response.dtype == ref.response.dtype == np.int64, name
+        assert np.array_equal(got.response, ref.response), (name, got.key)
+    ref_lattice = copy.copy(L)
+    ref_lattice.basis = basis
+    assert lat.lattice_descriptor(L) == lat.lattice_descriptor(ref_lattice), name
+
+
+@pytest.mark.parametrize("family,dim", PARITY_SWEEP)
+def test_basis_matches_pairwise_search_oracle(family, dim):
+    res = lat._MIN_RESOLUTION[lat.Family(family)]
+    while (L := lat.build(family, dim, res)).npoints <= 500:
+        _assert_matches_basis_oracle(L)
+        res += 1
+
+
+@pytest.mark.parametrize("family,dim,res", CLI_ONESHOT_LATTICES)
+def test_basis_matches_pairwise_search_oracle_large(family, dim, res):
+    _assert_matches_basis_oracle(lat.build(family, dim, res))
+
+
+def _grid_union(grids):
+    """A lattice built from explicit (circle counts, shift) grids."""
+    L = object.__new__(lat.ChebyshevLattice)
+    L.family, L.dim, L.resolution = lat.Family.CARTESIAN, len(grids[0][0]), 0
+    L._grids = [lat.CartesianSublattice(N, shift) for N, shift in grids]
+    L._build_points()
+    L._build_basis()
+    return L
+
+
+@pytest.mark.parametrize("grids,ncut", [
+    ([((5, 5), (0, 1)), ((5, 5), (1, 0))], 3),
+    ([((4, 8), (0, 1)), ((4, 8), (1, 0))], 1),
+    ([((3, 3, 3), (0, 1, 1)), ((3, 3, 3), (1, 0, 1)), ((3, 3, 3), (1, 1, 0))], 5),
+])
+def test_cut_ties_match_pairwise_search_oracle(grids, ncut):
+    # no shipped family cuts a group between tied classes; these grid unions do
+    L = _grid_union(grids)
+    assert len(L.cut_ties) == ncut
+    _assert_matches_basis_oracle(L)
+
+
+def test_basis_lookup_is_built_once_and_read_only():
+    L = lat.build("bcc", 3, 3)
+    before = {k: id(v) for k, v in vars(L).items()}
+    members, owners = L.basis_member_matrix()
+    for row, owner in zip(members.tolist(), owners.tolist()):
+        assert L.basis_index_of(row) == owner
+    assert L.basis_index_of((-1, 0, 0)) is None
+    assert L.basis_index_of((10**6, 0, 0)) is None
+    assert {k: id(v) for k, v in vars(L).items()} == before
+    with pytest.raises(ValueError):
+        members[0, 0] = 1
+    with pytest.raises(ValueError):
+        owners[0] = 1
 
 
 # ------------------------------------------------------------- descriptor
