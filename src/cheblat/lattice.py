@@ -487,6 +487,8 @@ class ChebyshevLattice:
         member_codes, owners, entry_order, cut = self._select_entries(coarse, codes, keys, need)
         self.cut_ties = [keys[g] for g in cut.tolist()]
         members = np.column_stack(np.unravel_index(member_codes, self._box))
+        # entries and groups take their rows from iterators, not from lists of
+        # per-entry bounds, to keep the build's memory peak down
         member_it = zip(*(col.tolist() for col in members.T))
         self.basis = [BasisEntry(members=tuple(itertools.islice(member_it, n)))
                       for n in np.bincount(owners).tolist()]
