@@ -273,7 +273,7 @@ def _composite_oct7_grids(resolution: int) -> list[CartesianSublattice]:
     ]
 
 
-def _fold_code(ks: np.ndarray, coarse: np.ndarray) -> np.ndarray:
+def _group_code(ks: np.ndarray, coarse: np.ndarray) -> np.ndarray:
     """Mixed-radix code of each row's per-axis fold ``min(k mod c, c - k mod c)``."""
     r = ks % coarse
     return np.ravel_multi_index(tuple(np.minimum(r, coarse - r).T), coarse // 2 + 1)
@@ -411,7 +411,7 @@ class ChebyshevLattice:
         A slot's group key is its per-axis fold modulo ``coarse``; a group's
         slots keep their (grid, flat) order.
         """
-        slot_codes = np.concatenate([_fold_code(np.indices(g.counts).reshape(self.dim, -1).T,
+        slot_codes = np.concatenate([_group_code(np.indices(g.counts).reshape(self.dim, -1).T,
                                                 coarse) for g in self._grids])
         codes, slot_group = np.unique(slot_codes, return_inverse=True)
         return codes, np.bincount(slot_group), np.argsort(slot_group, kind="stable")
@@ -427,7 +427,7 @@ class ChebyshevLattice:
         first, first_norm2, lowest, lowest_cls = self._box_classes()
         reps = np.column_stack(np.unravel_index(first, self._box))
         visible = np.flatnonzero(np.any(self._samples(reps)[1], axis=0))
-        group = np.searchsorted(codes, _fold_code(reps[visible], coarse))
+        group = np.searchsorted(codes, _group_code(reps[visible], coarse))
         by_group = np.argsort(group, kind="stable")
         visible, group = visible[by_group], group[by_group]
         nvis = np.bincount(group, minlength=len(codes))
