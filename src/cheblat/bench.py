@@ -113,24 +113,11 @@ CSV_HEADER = "family,dim,resolution,npoints,euclidean_degree,error_mean,error_st
 
 
 def records_to_csv(records) -> str:
-    lines = [CSV_HEADER]
-    for r in records:
-        lines.append(
-            ",".join(
-                [
-                    r.family,
-                    str(r.dim),
-                    str(r.resolution),
-                    str(r.npoints),
-                    format(r.euclidean_degree, ".17g"),
-                    format(r.error_mean, ".17g"),
-                    format(r.error_std, ".17g"),
-                    str(r.trials),
-                    str(r.seed),
-                ]
-            )
-        )
-    return "\n".join(lines) + "\n"
+    rows = np.array([(r.family, r.dim, r.resolution, r.npoints, r.euclidean_degree,
+                      r.error_mean, r.error_std, r.trials, r.seed) for r in records],
+                    dtype=object).reshape(-1, 9)
+    g = lat._G17
+    return CSV_HEADER + "\n" + lat._format_rows(rows, f"%s,%d,%d,%d,{g},{g},{g},%d,%d\n", "")
 
 
 def random_rotation(dim: int, rng: np.random.Generator) -> np.ndarray:

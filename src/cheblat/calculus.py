@@ -19,7 +19,7 @@ import numpy as np
 
 from .lattice import ChebyshevLattice
 # ``make_plan`` stays a module attribute: perfbench/tracer.py wraps calculus.make_plan.
-from .transform import TransformPlan, adjoint, forward, plan as make_plan  # noqa: F401
+from .transform import TransformPlan, _csv, adjoint, forward, plan as make_plan  # noqa: F401
 
 
 class CalculusError(ValueError):
@@ -250,8 +250,4 @@ def gauss_legendre(n: int, d: int) -> tuple[np.ndarray, np.ndarray]:
 
 def stencil_to_csv(stencil: QuadratureStencil) -> str:
     """One record per node: coordinate columns then the weight."""
-    lines = []
-    for pt, w in zip(stencil.lattice.points, stencil.weights):
-        cols = [format(c, ".17g") for c in pt] + [format(w, ".17g")]
-        lines.append(",".join(cols))
-    return "\n".join(lines) + "\n"
+    return _csv(np.column_stack([stencil.lattice.points, stencil.weights]))

@@ -21,10 +21,7 @@ import tempfile
 import numpy as np
 
 from . import bench, calculus, lattice as lat, transform as tf
-
-
-def _fmt(x: float) -> str:
-    return format(float(x), ".17g")
+from .lattice import _G17
 
 
 def _atomic_write(path: str, text: str) -> None:
@@ -72,13 +69,13 @@ def _cmd_info(args) -> int:
         f"dim: {lattice.dim}",
         f"resolution: {lattice.resolution}",
         f"npoints: {lattice.npoints}",
-        f"euclidean_degree: {_fmt(lattice.euclidean_degree())}",
-        f"efficiency: {_fmt(lat.efficiency(lattice))}",
+        f"euclidean_degree: {_G17 % lattice.euclidean_degree()}",
+        f"efficiency: {_G17 % lat.efficiency(lattice)}",
     ]
     if lattice.dim >= 2:
         for axis in range(lattice.dim):
             lines.append(
-                f"boundary_efficiency[{axis}]: {_fmt(lat.boundary_efficiency(lattice, axis))}"
+                f"boundary_efficiency[{axis}]: {_G17 % lat.boundary_efficiency(lattice, axis)}"
             )
     lines.append(f"sublattices: {len(lat.decompose(lattice))}")
     lines.append(f"cell_points: {lattice.cell_point_count}")
@@ -117,10 +114,7 @@ def _cmd_eval(args) -> int:
     interp = calculus.Interpolant(lattice, coeffs)
     pts = np.array([_parse_point(t, lattice.dim) for t in args.at])
     vals = calculus.evaluate(interp, pts)
-    lines = [
-        ",".join([_fmt(c) for c in pt] + [_fmt(v)]) for pt, v in zip(pts, np.atleast_1d(vals))
-    ]
-    _emit("\n".join(lines) + "\n", args.out)
+    _emit(tf._csv(np.column_stack([pts, vals])), args.out)
     return 0
 
 
@@ -141,7 +135,7 @@ def _cmd_integrate(args) -> int:
     stencil = calculus.quadrature_stencil(tf.plan(lattice))
     if args.weights_out:
         _atomic_write(args.weights_out, calculus.stencil_to_csv(stencil))
-    _emit(_fmt(calculus.integrate(stencil, samples)) + "\n", args.out)
+    _emit(_G17 % calculus.integrate(stencil, samples) + "\n", args.out)
     return 0
 
 
@@ -181,7 +175,7 @@ def _cmd_bench(args, quad: bool) -> int:
 def _cmd_lebesgue(args) -> int:
     lattice = _build_lattice(args)
     est = bench.lebesgue_estimate(lattice, probe_per_axis=args.probe_density)
-    _emit(_fmt(est) + "\n", args.out)
+    _emit(_G17 % est + "\n", args.out)
     return 0
 
 

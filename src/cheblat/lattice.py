@@ -164,10 +164,6 @@ class BasisEntry:
         return sum(v * v for v in self.members[0])
 
     @property
-    def degree(self) -> float:
-        return math.sqrt(self.norm2)
-
-    @property
     def is_tie(self) -> bool:
         return len(self.members) > 1
 
@@ -577,15 +573,12 @@ class ChebyshevLattice:
 
 
 def _min_vector_norm(Q: np.ndarray, zmax: int = 3) -> float:
-    """Norm of the shortest nonzero integer combination of the rows of Q."""
+    """Norm of the shortest nonzero integer combination, with coefficients in
+    ``[-zmax, zmax]``, of the rows of the integer matrix Q."""
     d = Q.shape[0]
-    best = np.inf
-    for z in itertools.product(range(-zmax, zmax + 1), repeat=d):
-        if all(v == 0 for v in z):
-            continue
-        vec = np.asarray(z) @ np.asarray(Q, dtype=float)
-        best = min(best, float(np.linalg.norm(vec)))
-    return best
+    Z = np.indices((2 * zmax + 1,) * d, dtype=np.int64).reshape(d, -1).T - zmax
+    V = Z[np.any(Z, axis=1)] @ np.asarray(Q, dtype=np.int64)
+    return math.sqrt(int((V * V).sum(axis=1).min()))  # exact norm^2, rounded once
 
 
 def build(family: Family | str, dim: int, resolution: int) -> ChebyshevLattice:
@@ -794,8 +787,14 @@ def _cheap_degree(family: Family, dim: int, res: int) -> float:
 # ------------------------------------------------------------------ JSON
 
 
-def _fmt_float(x: float) -> str:
-    return format(float(x), ".17g")
+_G17 = "%.17g"  # 17 significant digits: every float reads back exactly
+
+
+def _format_rows(a, row_fmt: str, sep: str = "\n") -> str:
+    """Every row of the 2-d array ``a`` through the %-template ``row_fmt``,
+    joined by ``sep``, in one ``%`` call (``_G17 % x`` is ``format(x, ".17g")``)."""
+    a = np.asarray(a)
+    return sep.join([row_fmt] * len(a)) % tuple(a.ravel().tolist())
 
 
 def _json_value(obj) -> str:
@@ -808,15 +807,19 @@ def _json_value(obj) -> str:
     if isinstance(obj, (int, np.integer)):
         return str(int(obj))
     if isinstance(obj, (float, np.floating)):
-        return _fmt_float(obj)
-    if isinstance(obj, Fraction):
-        return _fmt_float(float(obj))
+        return _G17 % obj
     if isinstance(obj, dict):
         items = ", ".join(f"{_json_value(k)}: {_json_value(v)}" for k, v in obj.items())
         return "{" + items + "}"
-    if isinstance(obj, (list, tuple, np.ndarray)):
+    if isinstance(obj, (list, tuple)):
         return "[" + ", ".join(_json_value(v) for v in obj) + "]"
     raise TypeError(f"cannot serialize {type(obj)}")
+
+
+def _canonical_indices(lattice: ChebyshevLattice) -> np.ndarray:
+    """``(len(basis), dim)`` int64 array of the basis entries' canonical indices."""
+    flat = itertools.chain.from_iterable(e.canonical for e in lattice.basis)
+    return np.fromiter(flat, np.int64, len(lattice.basis) * lattice.dim).reshape(-1, lattice.dim)
 
 
 def lattice_descriptor(lattice: ChebyshevLattice) -> str:
@@ -825,27 +828,22 @@ def lattice_descriptor(lattice: ChebyshevLattice) -> str:
     Tie-combination entries list their canonical index in ``basis``; the
     full member sets appear under the trailing ``ties`` field.
     """
-    subs = []
-    for s in lattice.sublattices():
-        subs.append(
-            {
-                "counts": list(s.counts),
-                "boundaries": [b.value for b in s.boundaries],
-                "offset": [float(o) for o in s.offset],
-            }
-        )
-    doc = {
-        "family": lattice.family.value,
-        "dim": lattice.dim,
-        "resolution": lattice.resolution,
-        "npoints": lattice.npoints,
-        "basis": [list(e.canonical) for e in lattice.basis],
-        "points": [list(map(float, row)) for row in lattice.points],
-        "sublattices": subs,
-        "ties": [
-            {"entry": i, "members": [list(m) for m in e.members]}
-            for i, e in enumerate(lattice.basis)
-            if e.is_tie
-        ],
-    }
-    return _json_value(doc)
+    d = lattice.dim
+    head = {"family": lattice.family.value, "dim": d, "resolution": lattice.resolution,
+            "npoints": lattice.npoints}
+    subs = [
+        {"counts": list(s.counts), "boundaries": [b.value for b in s.boundaries],
+         "offset": [float(o) for o in s.offset]}
+        for s in lattice.sublattices()
+    ]
+    ties = [{"entry": i, "members": [list(m) for m in e.members]}
+            for i, e in enumerate(lattice.basis) if e.is_tie]
+    int_row = "[" + ", ".join(["%d"] * d) + "]"
+    float_row = "[" + ", ".join([_G17] * d) + "]"
+    return (
+        _json_value(head)[:-1]
+        + ', "basis": [' + _format_rows(_canonical_indices(lattice), int_row, ", ")
+        + '], "points": [' + _format_rows(lattice.points, float_row, ", ")
+        + '], "sublattices": ' + _json_value(subs)
+        + ', "ties": ' + _json_value(ties) + "}"
+    )

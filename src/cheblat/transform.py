@@ -13,13 +13,15 @@ All operations are reentrant; plans are immutable after construction.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 
 import numpy as np
 
 # dct_nd, idct_nd, adjoint_dct_nd and dct_axis stay bound here: perfbench/tracer.py wraps them.
 from .dct import GridDCT, adjoint_dct_nd, dct_axis, dct_nd, idct_nd  # noqa: F401
-from .lattice import ChebyshevLattice, Family, LatticeError
+from .lattice import (_G17, ChebyshevLattice, Family, LatticeError, _canonical_indices,
+                      _format_rows)
 
 
 class TransformError(ValueError):
@@ -215,59 +217,79 @@ def dense_condition(lattice: ChebyshevLattice) -> float:
 # ------------------------------------------------------------------- CSV
 
 
+def _csv(table: np.ndarray) -> str:
+    """CSV text of a 2-d float table, 17 significant digits per cell."""
+    return _format_rows(table, ",".join([_G17] * table.shape[1])) + "\n"
+
+
+def _check_rows(ok: np.ndarray, message: str) -> None:
+    """Raise `TransformError` for the first row where ``ok`` is False;
+    ``message`` has a ``{}`` for the row number."""
+    if not ok.all():
+        raise TransformError(message.format(int(np.argmin(ok))))
+
+
+def _parse_rows(text: str, nrows: int, ncols: int, what: str) -> np.ndarray:
+    """The non-blank rows of a CSV text as an ``(nrows, ncols)`` float array.
+
+    Every field goes through `float` in one pass, so the number syntax is
+    Python's; a wrong row count, a row with another column count, or a
+    field `float` rejects raises `TransformError` naming the first such row.
+    """
+    rows = list(filter(str.strip, text.splitlines()))
+    if len(rows) != nrows:
+        raise TransformError(f"expected {nrows} {what} rows, got {len(rows)}")
+    commas = np.fromiter(map(str.count, rows, itertools.repeat(",")), np.int64, nrows)
+    _check_rows(commas == ncols - 1, f"{what} row {{}} does not have {ncols} columns")
+    try:
+        return np.fromiter(map(float, ",".join(rows).split(",")), float, nrows * ncols
+                           ).reshape(nrows, ncols)
+    except ValueError:
+        for i, row in enumerate(rows):  # find the row to name
+            try:
+                list(map(float, row.split(",")))
+            except ValueError as exc:
+                raise TransformError(f"{what} row {i}: {exc}") from None
+        raise
+
+
 def coefficients_to_csv(lattice: ChebyshevLattice, coeffs) -> str:
     """One record per basis entry: canonical index columns then the value."""
-    coeffs = np.asarray(coeffs, dtype=float)
-    lines = []
-    for entry, c in zip(lattice.basis, coeffs):
-        cols = [str(v) for v in entry.canonical] + [format(c, ".17g")]
-        lines.append(",".join(cols))
-    return "\n".join(lines) + "\n"
+    d = lattice.dim
+    table = np.empty((len(lattice.basis), d + 1), dtype=object)  # Python ints print fastest
+    table[:, :d] = _canonical_indices(lattice)
+    table[:, d] = np.asarray(coeffs, dtype=float)
+    return _format_rows(table, ",".join(["%d"] * d + [_G17])) + "\n"
 
 
 def coefficients_from_csv(lattice: ChebyshevLattice, text: str) -> np.ndarray:
-    out = np.empty(len(lattice.basis))
-    rows = [line for line in text.strip().splitlines() if line.strip()]
-    if len(rows) != len(lattice.basis):
+    """Inverse of `coefficients_to_csv`; index columns must match the basis."""
+    d = lattice.dim
+    table = _parse_rows(text, len(lattice.basis), d + 1, "coefficient")
+    canon = _canonical_indices(lattice)
+    with np.errstate(invalid="ignore"):  # NaN/Inf cast to a garbage index: no match
+        idx = table[:, :d].astype(np.int64)  # truncates as int(float(field))
+    match = (idx == canon).all(axis=1)
+    if not match.all():
+        i = int(np.argmin(match))
         raise TransformError(
-            f"expected {len(lattice.basis)} coefficient rows, got {len(rows)}"
+            f"coefficient row {i} index ({', '.join(_G17 % v for v in table[i, :d])}) "
+            f"does not match basis {tuple(canon[i].tolist())}"
         )
-    for i, (entry, line) in enumerate(zip(lattice.basis, rows)):
-        parts = line.split(",")
-        idx = tuple(int(float(p)) for p in parts[: lattice.dim])
-        if idx != entry.canonical:
-            raise TransformError(
-                f"coefficient row {i} index {idx} does not match basis {entry.canonical}"
-            )
-        out[i] = float(parts[lattice.dim])
-    return out
+    _check_rows(np.isfinite(table[:, d]), "coefficient row {} value is not finite")
+    return table[:, d].copy()
 
 
 def samples_to_csv(lattice: ChebyshevLattice, samples) -> str:
     """One record per lattice point: coordinate columns then the value."""
-    samples = np.asarray(samples, dtype=float)
-    lines = []
-    for pt, v in zip(lattice.points, samples):
-        cols = [format(c, ".17g") for c in pt] + [format(v, ".17g")]
-        lines.append(",".join(cols))
-    return "\n".join(lines) + "\n"
+    return _csv(np.column_stack([lattice.points, np.asarray(samples, dtype=float)]))
 
 
 def samples_from_csv(lattice: ChebyshevLattice, text: str) -> np.ndarray:
-    rows = [line for line in text.strip().splitlines() if line.strip()]
-    if len(rows) != lattice.npoints:
-        raise TransformError(
-            f"expected {lattice.npoints} sample rows, got {len(rows)}"
-        )
-    out = np.empty(lattice.npoints)
-    for i, line in enumerate(rows):
-        parts = [float(p) for p in line.split(",")]
-        if len(parts) != lattice.dim + 1:
-            raise TransformError(f"sample row {i} has {len(parts)} columns")
-        coords = np.asarray(parts[: lattice.dim])
-        if np.max(np.abs(coords - lattice.points[i])) > 1e-9:
-            raise TransformError(
-                f"sample row {i} coordinates do not match the lattice point"
-            )
-        out[i] = parts[-1]
-    return out
+    """Inverse of `samples_to_csv`; coordinates must match the points to 1e-9."""
+    d = lattice.dim
+    table = _parse_rows(text, lattice.npoints, d + 1, "sample")
+    err = np.abs(table[:, :d] - lattice.points).max(axis=1)
+    _check_rows(err <= 1e-9, "sample row {} coordinates do not match the lattice point")
+    _check_rows(np.isfinite(table[:, d]), "sample row {} value is not finite")
+    return table[:, d].copy()

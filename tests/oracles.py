@@ -244,3 +244,121 @@ def basis_oracle(lattice):
     for comp in components:
         comp.entry_ids = [rank[i] for i in comp.entry_ids]
     return [entries[i] for i in order], cut_ties, components
+
+
+# ------------------------------------------------------------- text I/O
+#
+# The per-cell writers and readers the array-native CSV and descriptor code
+# replaced, kept as references: outputs must match them byte for byte, and
+# readers must return bitwise-equal arrays on every input these accept.
+
+
+def _g17(x) -> str:
+    return format(float(x), ".17g")
+
+
+def coefficients_to_csv_oracle(lattice, coeffs) -> str:
+    lines = []
+    for entry, c in zip(lattice.basis, np.asarray(coeffs, dtype=float)):
+        lines.append(",".join([str(v) for v in entry.canonical] + [_g17(c)]))
+    return "\n".join(lines) + "\n"
+
+
+def samples_to_csv_oracle(lattice, samples) -> str:
+    lines = []
+    for pt, v in zip(lattice.points, np.asarray(samples, dtype=float)):
+        lines.append(",".join([_g17(c) for c in pt] + [_g17(v)]))
+    return "\n".join(lines) + "\n"
+
+
+def stencil_to_csv_oracle(stencil) -> str:
+    return samples_to_csv_oracle(stencil.lattice, stencil.weights)
+
+
+def eval_lines_oracle(points, values) -> str:
+    """`cheblat eval` output: one ``x1,...,xd,value`` line per point."""
+    lines = [",".join([_g17(c) for c in pt] + [_g17(v)]) for pt, v in zip(points, values)]
+    return "\n".join(lines) + "\n"
+
+
+def coefficients_from_csv_oracle(lattice, text: str) -> np.ndarray:
+    """Row by row; assumes a well-formed file (the readers under test own the checks)."""
+    rows = [line for line in text.strip().splitlines() if line.strip()]
+    assert len(rows) == len(lattice.basis)
+    out = np.empty(len(rows))
+    for i, (entry, line) in enumerate(zip(lattice.basis, rows)):
+        parts = line.split(",")
+        assert tuple(int(float(p)) for p in parts[: lattice.dim]) == entry.canonical
+        out[i] = float(parts[lattice.dim])
+    return out
+
+
+def samples_from_csv_oracle(lattice, text: str) -> np.ndarray:
+    rows = [line for line in text.strip().splitlines() if line.strip()]
+    assert len(rows) == lattice.npoints
+    out = np.empty(len(rows))
+    for i, line in enumerate(rows):
+        parts = [float(p) for p in line.split(",")]
+        assert len(parts) == lattice.dim + 1
+        assert np.max(np.abs(np.asarray(parts[:-1]) - lattice.points[i])) <= 1e-9
+        out[i] = parts[-1]
+    return out
+
+
+def _json_value_oracle(obj) -> str:
+    if isinstance(obj, str):
+        import json
+
+        return json.dumps(obj)
+    if isinstance(obj, bool):
+        return "true" if obj else "false"
+    if isinstance(obj, (int, np.integer)):
+        return str(int(obj))
+    if isinstance(obj, (float, np.floating)):
+        return _g17(obj)
+    if isinstance(obj, dict):
+        return "{" + ", ".join(f"{_json_value_oracle(k)}: {_json_value_oracle(v)}"
+                               for k, v in obj.items()) + "}"
+    if isinstance(obj, (list, tuple, np.ndarray)):
+        return "[" + ", ".join(_json_value_oracle(v) for v in obj) + "]"
+    raise TypeError(f"cannot serialize {type(obj)}")
+
+
+def lattice_descriptor_oracle(lattice) -> str:
+    """The JSON descriptor, serialised value by value."""
+    doc = {
+        "family": lattice.family.value,
+        "dim": lattice.dim,
+        "resolution": lattice.resolution,
+        "npoints": lattice.npoints,
+        "basis": [list(e.canonical) for e in lattice.basis],
+        "points": [list(map(float, row)) for row in lattice.points],
+        "sublattices": [
+            {"counts": list(s.counts), "boundaries": [b.value for b in s.boundaries],
+             "offset": [float(o) for o in s.offset]}
+            for s in lattice.sublattices()
+        ],
+        "ties": [{"entry": i, "members": [list(m) for m in e.members]}
+                 for i, e in enumerate(lattice.basis) if e.is_tie],
+    }
+    return _json_value_oracle(doc)
+
+
+def records_to_csv_oracle(records) -> str:
+    from cheblat.bench import CSV_HEADER
+
+    lines = [CSV_HEADER]
+    for r in records:
+        lines.append(",".join([r.family, str(r.dim), str(r.resolution), str(r.npoints),
+                               _g17(r.euclidean_degree), _g17(r.error_mean),
+                               _g17(r.error_std), str(r.trials), str(r.seed)]))
+    return "\n".join(lines) + "\n"
+
+
+def min_vector_norm_oracle(Q, zmax: int = 3) -> float:
+    """Shortest nonzero combination with coefficients in [-zmax, zmax], one norm at a time."""
+    best = np.inf
+    for z in itertools.product(range(-zmax, zmax + 1), repeat=Q.shape[0]):
+        if any(z):
+            best = min(best, float(np.linalg.norm(np.asarray(z) @ np.asarray(Q, dtype=float))))
+    return best
