@@ -125,22 +125,6 @@ def evaluate(interp: Interpolant, x) -> float | np.ndarray:
 # ---------------------------------------------------------------- d/dx
 
 
-def _chain_derivative(degs: np.ndarray, coefs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """First-kind derivative along one chain: T_k' = 2k T_{k-1} + k/(k-2) T_{k-2}'."""
-    kmax = int(degs.max())
-    dense = np.zeros(kmax + 1)
-    dense[degs] += coefs
-    out = np.zeros(kmax + 1)
-    if kmax >= 1:
-        b = np.zeros(kmax + 2)
-        for j in range(kmax - 1, -1, -1):
-            b[j] = b[j + 2] + 2.0 * (j + 1) * dense[j + 1]
-        b[0] /= 2.0
-        out[: kmax] = b[:kmax]
-    nz = np.flatnonzero(out)
-    return nz, out[nz]
-
-
 def differentiate(interp: Interpolant, axis: int) -> Interpolant:
     """Partial derivative along an axis, expressed in the same basis.
 
@@ -158,52 +142,46 @@ def differentiate(interp: Interpolant, axis: int) -> Interpolant:
     order = np.lexsort([members[:, axis]] + [members[:, a] for a in rest])
     sm = members[order]
     sc = interp.coeffs[owners][order]
-    starts = np.flatnonzero(np.r_[True, np.any(sm[1:, rest] != sm[:-1, rest], axis=1)])
-    indices, values = [], []
-    for lo, hi in zip(starts, np.r_[starts[1:], len(sm)]):
-        degs = sm[lo:hi, axis]
-        if degs.max() == 0:
-            continue
-        nz, vals = _chain_derivative(degs, sc[lo:hi])
-        idx = np.repeat(sm[lo:lo + 1], len(nz), axis=0)
-        idx[:, axis] = nz
-        indices.append(idx)
-        values.append(vals)
+    new_chain = np.r_[True, np.any(sm[1:, rest] != sm[:-1, rest], axis=1)]
+    starts, chain = np.flatnonzero(new_chain), np.cumsum(new_chain) - 1
+    # first-kind recurrence T_k' = 2k T_{k-1} + k/(k-2) T_{k-2}', run backward
+    # over degree for every chain at once; degrees above a chain's top stay 0
+    kmax = int(sm[:, axis].max())
+    dense = np.zeros((len(starts), kmax + 1))
+    dense[chain, sm[:, axis]] += sc
+    b = np.zeros((len(starts), kmax + 2))
+    for j in range(kmax - 1, -1, -1):
+        b[:, j] = b[:, j + 2] + 2.0 * (j + 1) * dense[:, j + 1]
+    b[:, 0] /= 2.0
+    rows, degs = np.nonzero(b[:, :kmax])  # chain by chain, by degree
+    idx = sm[starts[rows]]
+    idx[:, axis] = degs
+    pos = lattice._entry_positions(idx)
+    keep = pos >= 0
     out = np.zeros_like(interp.coeffs)
-    if indices:
-        pos = lattice._entry_positions(np.vstack(indices))
-        vals = np.concatenate(values)[pos >= 0]
-        pos = pos[pos >= 0]
-        np.add.at(out, pos, vals / np.bincount(owners)[pos])
+    np.add.at(out, pos[keep], b[rows, degs][keep] / np.bincount(owners)[pos[keep]])
     return Interpolant(lattice, out)
 
 
 # ----------------------------------------------------------- quadrature
 
 
-def _axis_weight(k: int) -> float:
-    if k % 2:
-        return 0.0
-    return 2.0 / (1.0 - k * k) if k else 2.0
-
-
-def basis_integrals(basis) -> np.ndarray:
-    """Integral over the cube of each basis entry.
+def basis_integrals(lattice: ChebyshevLattice) -> np.ndarray:
+    """Integral over the cube of each basis entry of the lattice.
 
     For a product index the integral factorizes as
     ``prod_i w(k_i)`` with ``w(0) = 2``, ``w(odd) = 0`` and
     ``w(even m) = 2 / (1 - m^2)``; tie entries sum their members.
     """
-    out = np.empty(len(basis))
-    for i, entry in enumerate(basis):
-        total = 0.0
-        for member in entry.members:
-            v = 1.0
-            for k in member:
-                v *= _axis_weight(int(k))
-            total += v
-        out[i] = total
-    return out
+    members, owners = lattice.basis_member_matrix()
+    even = members % 2 == 0
+    w = np.zeros(members.shape)
+    w[even] = 2.0 / (1.0 - members[even] ** 2)
+    v = np.ones(len(members))
+    for a in range(lattice.dim):
+        v *= w[:, a]
+    # bincount sums each entry's members in order from +0.0
+    return np.bincount(owners, weights=v, minlength=len(lattice.basis))
 
 
 @dataclass
@@ -216,7 +194,7 @@ class QuadratureStencil:
 
 def quadrature_stencil(plan: TransformPlan) -> QuadratureStencil:
     """Clenshaw-Curtis style stencil: adjoint transform of the basis integrals."""
-    integrals = basis_integrals(plan.lattice.basis)
+    integrals = basis_integrals(plan.lattice)
     return QuadratureStencil(lattice=plan.lattice, weights=adjoint(plan, integrals))
 
 

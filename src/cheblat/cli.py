@@ -14,6 +14,7 @@ failures.
 from __future__ import annotations
 
 import argparse
+import functools
 import os
 import sys
 import tempfile
@@ -179,6 +180,7 @@ def _cmd_lebesgue(args) -> int:
     return 0
 
 
+@functools.cache  # parse_args leaves the parser unchanged; help is formatted per call
 def _parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(
         prog="cheblat",

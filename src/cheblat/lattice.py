@@ -56,6 +56,7 @@ from __future__ import annotations
 import enum
 import itertools
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -198,17 +199,47 @@ class CartesianSublattice:
         return [Fraction(self.shift[axis] + 2 * j, N) for j in range(self.counts[axis])]
 
 
-@dataclass(slots=True)
-class ComponentSystem:
-    """One mutually aliasing group: lattice-wide DCT slots and the basis
-    entries visible on them, with the sampled response matrix."""
+@dataclass(frozen=True)
+class AliasingBlock:
+    """One distinct aliasing response and every group that has it.
 
-    key: tuple[int, ...]
-    slots: list[tuple[int, int]]  # (sublattice index, flat grid index)
-    entry_ids: list[int]
-    # integer, shape (len(slots), len(entry_ids)): each entry is a sum of
-    # the +-1 sampling signs of the column entry's members on the row slot
-    response: np.ndarray
+    Columns of ``slots`` and ``entries``, and rows of ``keys``, run over
+    the groups in key order.  All arrays are read-only.
+    """
+
+    # integer, shape (n, n): entry [row, col] sums the +-1 sampling signs of
+    # the col-th entry's members on the row-th slot
+    V: np.ndarray
+    slots: np.ndarray  # (n, ngroups) lattice-wide flat slot indices
+    entries: np.ndarray  # (n, ngroups) basis positions
+    keys: np.ndarray  # (ngroups, dim) group keys
+
+
+class _BasisView(Sequence):
+    """Read-only sequence of `BasisEntry` over member rows and entry offsets.
+
+    Each access builds fresh entries; nothing is cached.
+    """
+
+    __slots__ = ("_members", "_starts")
+
+    def __init__(self, members: np.ndarray, starts: np.ndarray):
+        self._members, self._starts = members, starts
+
+    def __len__(self) -> int:
+        return len(self._starts) - 1
+
+    def __getitem__(self, i):
+        at = range(len(self))[i]  # checks and normalises ``i``
+        if isinstance(at, range):
+            return [self[j] for j in at]
+        rows = self._members[self._starts[at]:self._starts[at + 1]].tolist()
+        return BasisEntry(members=tuple(map(tuple, rows)))
+
+    def __iter__(self):
+        rows = zip(*(col.tolist() for col in self._members.T))
+        for n in np.diff(self._starts).tolist():
+            yield BasisEntry(members=tuple(itertools.islice(rows, n)))
 
 
 def _reciprocal_matrix(family: Family, dim: int, resolution: int) -> np.ndarray:
@@ -280,6 +311,42 @@ def _box_norm2(shape: tuple[int, ...]) -> np.ndarray:
     return sum(np.ix_(*[np.arange(n) ** 2 for n in shape])).ravel()
 
 
+def _blocks(response, slot_order, entry_order, keys, need) -> tuple[AliasingBlock, ...]:
+    """The distinct response blocks, numbered by their first group.
+
+    ``response`` holds every group's block flattened one after another;
+    ``slot_order`` and ``entry_order`` list each group's slots and entries
+    in turn.  Raises `LatticeError` for a singular block.
+    """
+    group_at = np.cumsum(need) - need
+    block_at = np.cumsum(need * need) - need * need
+    found = []  # (first group, groups) per distinct block
+    for n in np.unique(need).tolist():
+        groups = np.flatnonzero(need == n)
+        flat = response[block_at[groups, None] + np.arange(n * n)]
+        _, first, which = np.unique(flat, axis=0, return_index=True, return_inverse=True)
+        which = which.ravel()
+        found += [(groups[f], groups[which == b]) for b, f in enumerate(first.tolist())]
+    blocks = []
+    for first, groups in sorted(found, key=lambda t: t[0]):
+        n = int(need[first])
+        V = response[block_at[first]:block_at[first] + n * n].reshape(n, n)
+        # Responses are integer, so a nonsingular one has |det| >= 1.  A lattice
+        # has at most 21 distinct blocks, each at most 7x7 with entries of
+        # absolute value at most 3 (composite-oct7), so |det| <= (3 sqrt 7)^7
+        # < 2.1e6 (Hadamard) and the LU rounding error stays below 1e-6: the
+        # test below is exact.
+        if abs(np.linalg.det(V)) < 0.5:
+            raise LatticeError(f"aliasing group {tuple(keys[first].tolist())} is singular")
+        at = group_at[groups, None] + np.arange(n)  # (ngroups, n)
+        block = AliasingBlock(V=V, slots=slot_order[at].T, entries=entry_order[at].T,
+                              keys=keys[groups])
+        for a in (block.slots, block.entries, block.keys):
+            a.flags.writeable = False
+        blocks.append(block)
+    return tuple(blocks)
+
+
 class ChebyshevLattice:
     """A collocation lattice with its unisolvent Chebyshev basis.
 
@@ -288,8 +355,11 @@ class ChebyshevLattice:
     family, dim, resolution : identification of the construction.
     points : (npoints, dim) float array of collocation points, ordered
         sublattice by sublattice, C-order within each grid.
-    basis : list of `BasisEntry`, sorted by (Euclidean degree, canonical
-        index); same length as ``points``.
+    basis : read-only sequence of `BasisEntry`, sorted by (Euclidean
+        degree, canonical index); same length as ``points``.
+    blocks : tuple of `AliasingBlock`, the distinct aliasing responses in
+        the order of their first group.
+    cut_ties : keys of the groups whose cut falls between tied classes.
     reciprocal : `ReciprocalBasis`.
     """
 
@@ -429,7 +499,7 @@ class ChebyshevLattice:
         nvis = np.bincount(group, minlength=len(codes))
         short = np.flatnonzero(nvis < need)
         if short.size:
-            raise LatticeError(f"could not close aliasing group {keys[short[0]]}")
+            raise LatticeError(f"could not close aliasing group {tuple(keys[short[0]].tolist())}")
         rank = np.arange(len(visible)) - np.repeat(np.cumsum(nvis) - nvis, nvis)
         # a cut tie: the first class left out has the norm of the last one taken
         cut = np.flatnonzero(rank == need[group])
@@ -479,43 +549,21 @@ class ChebyshevLattice:
         self._box = tuple(int(p) + 1 for p in self._period)
 
         codes, need, slot_order = self._slot_groups(coarse)
-        keys = list(zip(*(u.tolist() for u in np.unravel_index(codes, coarse // 2 + 1))))
+        keys = np.column_stack(np.unravel_index(codes, coarse // 2 + 1))
         member_codes, owners, entry_order, cut = self._select_entries(coarse, codes, keys, need)
-        self.cut_ties = [keys[g] for g in cut.tolist()]
+        self.cut_ties = list(map(tuple, keys[cut].tolist()))
         members = np.column_stack(np.unravel_index(member_codes, self._box))
-        # entries and groups take their rows from iterators, not from lists of
-        # per-entry bounds, to keep the build's memory peak down
-        member_it = zip(*(col.tolist() for col in members.T))
-        self.basis = [BasisEntry(members=tuple(itertools.islice(member_it, n)))
-                      for n in np.bincount(owners).tolist()]
-
         response = self._responses(members, owners, slot_order, entry_order, need)
-        grid_of = np.searchsorted(self._slot_base, slot_order, side="right") - 1
-        slot_it = zip(grid_of.tolist(), (slot_order - self._slot_base[grid_of]).tolist())
-        entry_it = iter(entry_order.tolist())
-        self.components, at = [], 0
-        for key, n in zip(keys, need.tolist()):
-            self.components.append(ComponentSystem(
-                key=key, slots=list(itertools.islice(slot_it, n)),
-                entry_ids=list(itertools.islice(entry_it, n)),
-                response=response[at:at + n * n].reshape(n, n)))
-            at += n * n
-        # Responses are integer, so a nonsingular one has |det| >= 1.  A lattice
-        # has at most 21 distinct blocks, each at most 7x7 with entries of
-        # absolute value at most 3 (composite-oct7), so |det| <= (3 sqrt 7)^7
-        # < 2.1e6 (Hadamard) and the LU rounding error stays below 1e-6: the
-        # test below is exact.
-        distinct = {(comp.response.shape, comp.response.tobytes()): comp
-                    for comp in self.components}
-        for comp in distinct.values():
-            if abs(np.linalg.det(comp.response)) < 0.5:
-                raise LatticeError(f"aliasing group {comp.key} is singular")
+        self.blocks = _blocks(response, slot_order, entry_order, keys, need)
 
         by_code = np.argsort(member_codes)
         self._members, self._owners = members, owners
+        self._entry_starts = np.searchsorted(owners, np.arange(self.npoints + 1))
         self._member_codes, self._code_owners = member_codes[by_code], owners[by_code]
-        for a in (self._members, self._owners, self._member_codes, self._code_owners):
+        for a in (self._members, self._owners, self._entry_starts, self._member_codes,
+                  self._code_owners):
             a.flags.writeable = False
+        self.basis = _BasisView(self._members, self._entry_starts)
 
     # ----------------------------------------------------------- queries
 
@@ -544,12 +592,11 @@ class ChebyshevLattice:
         sum of their members.  Returns shape (npts, nbasis).
         """
         thetas = np.atleast_2d(np.asarray(thetas, dtype=float))
-        members, owners = self.basis_member_matrix()
+        members = self._members
         vals = np.ones((thetas.shape[0], len(members)))
         for ax in range(self.dim):
             vals *= np.cos(np.outer(thetas[:, ax], members[:, ax]))
-        starts = np.flatnonzero(np.r_[True, owners[1:] != owners[:-1]])
-        return np.add.reduceat(vals, starts, axis=1)
+        return np.add.reduceat(vals, self._entry_starts[:-1], axis=1)
 
     def basis_index_of(self, k) -> int | None:
         """Position of the entry that has index k as a member, or None."""
@@ -752,17 +799,11 @@ def boundary_efficiency(lattice: ChebyshevLattice, axis: int = -1) -> float:
 def boundary_degree(lattice: ChebyshevLattice, axis: int = -1) -> int:
     """Largest ``k`` such that all face frequencies ``0..k`` appear in the
     basis projected along the axis (the boundary-resolvable degree)."""
-    axis = axis % lattice.dim
-    proj = set()
-    for e in lattice.basis:
-        for m in e.members:
-            proj.add(tuple(v for i, v in enumerate(m) if i != axis))
-    k = 0
-    while True:
-        probe = (k + 1,) + (0,) * (lattice.dim - 2)
-        if probe not in proj:
-            return k
-        k += 1
+    proj = np.delete(lattice._members, axis % lattice.dim, axis=1)
+    # first face coordinate of the projected members whose other coordinates are 0
+    face = np.unique(proj[~proj[:, 1:].any(axis=1), :1])
+    face = face[face > 0]
+    return int(np.argmin(np.append(face == np.arange(1, len(face) + 1), False)))
 
 
 def degree_config(family: Family | str, dim: int, degree: float) -> int:
@@ -818,8 +859,7 @@ def _json_value(obj) -> str:
 
 def _canonical_indices(lattice: ChebyshevLattice) -> np.ndarray:
     """``(len(basis), dim)`` int64 array of the basis entries' canonical indices."""
-    flat = itertools.chain.from_iterable(e.canonical for e in lattice.basis)
-    return np.fromiter(flat, np.int64, len(lattice.basis) * lattice.dim).reshape(-1, lattice.dim)
+    return lattice._members[lattice._entry_starts[:-1]]
 
 
 def lattice_descriptor(lattice: ChebyshevLattice) -> str:
@@ -836,8 +876,9 @@ def lattice_descriptor(lattice: ChebyshevLattice) -> str:
          "offset": [float(o) for o in s.offset]}
         for s in lattice.sublattices()
     ]
-    ties = [{"entry": i, "members": [list(m) for m in e.members]}
-            for i, e in enumerate(lattice.basis) if e.is_tie]
+    starts = lattice._entry_starts
+    ties = [{"entry": i, "members": lattice._members[starts[i]:starts[i + 1]].tolist()}
+            for i in np.flatnonzero(np.diff(starts) > 1).tolist()]
     int_row = "[" + ", ".join(["%d"] * d) + "]"
     float_row = "[" + ", ".join([_G17] * d) + "]"
     return (

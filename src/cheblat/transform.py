@@ -3,10 +3,11 @@
 The forward transform runs one separable DCT per Cartesian sublattice and
 then solves a small linear system per aliasing group to untangle the
 coefficients that the sublattices see folded together (the interleaved
-fast transform).  The systems are sampled numerically at plan time by
-pushing each group's basis polynomials through the sublattice transforms;
-the resulting matrices take on a fixed small set of values, so they are
-deduplicated and applied as batched matrix products.
+fast transform).  Each group's response is exact: its integer entries sum
+the sampling signs of the group's basis polynomials on its DCT slots, and
+the lattice computes them at build time.  They take on a fixed small set
+of values, the lattice's distinct `AliasingBlock`s; the plan inverts each
+once and applies it to all of its groups as one batched matrix product.
 
 All operations are reentrant; plans are immutable after construction.
 """
@@ -20,8 +21,8 @@ import numpy as np
 
 # dct_nd, idct_nd, adjoint_dct_nd and dct_axis stay bound here: perfbench/tracer.py wraps them.
 from .dct import GridDCT, adjoint_dct_nd, dct_axis, dct_nd, idct_nd  # noqa: F401
-from .lattice import (_G17, ChebyshevLattice, Family, LatticeError, _canonical_indices,
-                      _format_rows)
+from .lattice import (_G17, AliasingBlock, ChebyshevLattice, Family, LatticeError,
+                      _canonical_indices, _format_rows)
 
 
 class TransformError(ValueError):
@@ -29,22 +30,13 @@ class TransformError(ValueError):
 
 
 @dataclass(frozen=True)
-class AliasingMatrix:
-    """Solved aliasing system for one group of mutually aliasing entries."""
-
-    class_key: tuple[int, ...]
-    M: np.ndarray
-    members: tuple[tuple[tuple[int, ...], ...], ...]
-
-
-@dataclass(frozen=True)
-class _Bucket:
-    """Groups sharing one matrix, with gathered index arrays."""
+class AliasingBucket:
+    """Groups sharing one aliasing matrix, with gathered index arrays."""
 
     class_key: tuple[int, ...]  # key of the first group in the bucket
     members: tuple[tuple[tuple[int, ...], ...], ...]  # its entries' members
     M: np.ndarray  # (nentries, nslots): slot values -> coefficients
-    V: np.ndarray  # (nslots, nentries): sampled responses, M = V^{-1}
+    V: np.ndarray  # (nslots, nentries): float responses, M = V^{-1}
     slots: np.ndarray  # (nslots, ngroups) flat slot indices
     entries: np.ndarray  # (nentries, ngroups) basis positions
 
@@ -59,44 +51,23 @@ class TransformPlan:
     def __init__(self, lattice: ChebyshevLattice):
         self.lattice = lattice
         self._slot_base = lattice._slot_base
-        self.buckets = self._bucketize(lattice)
+        self.buckets = tuple(map(self._bucket, lattice.blocks))
         self._grid_dcts = tuple(GridDCT(g.counts, g.boundaries) for g in lattice._grids)
 
-    def _bucketize(self, lattice: ChebyshevLattice) -> tuple[_Bucket, ...]:
-        # (shape, response bytes) -> (first group, M, V, slot lists, entry lists)
-        table: dict[tuple, tuple] = {}
-        for comp in lattice.components:
-            V = comp.response
-            key = (V.shape, V.tobytes())  # responses are integer: exact keys
-            if key not in table:
-                try:
-                    M = np.linalg.inv(V)
-                except np.linalg.LinAlgError as exc:
-                    raise LatticeError(
-                        f"aliasing matrix for group {comp.key} is singular"
-                    ) from exc
-                V = V.astype(float)  # the plan's own, read-only like M
-                M.flags.writeable = V.flags.writeable = False
-                table[key] = (comp, M, V, [], [])
-            _, _, _, slots, entries = table[key]
-            slots.append([self._slot_base[si] + fi for si, fi in comp.slots])
-            entries.append(comp.entry_ids)
-        return tuple(
-            _Bucket(
-                class_key=first.key,
-                members=tuple(lattice.basis[i].members for i in first.entry_ids),
-                M=M,
-                V=V,
-                slots=np.asarray(slots, dtype=np.int64).T,
-                entries=np.asarray(entries, dtype=np.int64).T,
-            )
-            for first, M, V, slots, entries in table.values()
+    def _bucket(self, block: AliasingBlock) -> AliasingBucket:
+        # the build rejects singular blocks, so inv cannot fail
+        M, V = np.linalg.inv(block.V), block.V.astype(float)
+        M.flags.writeable = V.flags.writeable = False
+        return AliasingBucket(
+            class_key=tuple(block.keys[0].tolist()),
+            members=tuple(self.lattice.basis[i].members for i in block.entries[:, 0].tolist()),
+            M=M, V=V, slots=block.slots, entries=block.entries,
         )
 
-    def aliasing_matrices(self) -> list[AliasingMatrix]:
-        """The deduplicated aliasing systems, for inspection and testing."""
-        return [AliasingMatrix(class_key=b.class_key, M=b.M, members=b.members)
-                for b in self.buckets]
+    def aliasing_matrices(self) -> list[AliasingBucket]:
+        """The plan's buckets, one per distinct aliasing system, for inspection
+        and testing; their arrays are read-only."""
+        return list(self.buckets)
 
     def _per_grid(self, apply, values: np.ndarray) -> np.ndarray:
         """``apply(op, block)`` for every sublattice's `GridDCT` and block of ``values``."""

@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import itertools
 import math
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -207,15 +208,24 @@ class _BasisSearch:
         raise AssertionError(f"could not close aliasing group {key}")
 
 
+@dataclass
+class Component:
+    """One aliasing group as the pairwise search finds it."""
+
+    key: tuple[int, ...]
+    slots: list[tuple[int, int]]  # (sublattice index, flat grid index)
+    entry_ids: list[int]  # basis positions
+    response: np.ndarray  # int64, (len(slots), len(entry_ids)) summed sampling signs
+
+
 def basis_oracle(lattice):
     """Basis, cut ties and aliasing components by the pairwise class search.
 
-    Returns ``(basis, cut_ties, components)`` in the layout of
-    `ChebyshevLattice`: basis entries sorted by (norm, canonical index),
-    and per aliasing group its key, slots, entry positions and the integer
-    response matrix.
+    Returns ``(basis, cut_ties, components)``: basis entries sorted by
+    (norm, canonical index), as in `ChebyshevLattice`, and per aliasing
+    group, in key order, a `Component`.
     """
-    from cheblat.lattice import BasisEntry, ComponentSystem
+    from cheblat.lattice import BasisEntry
 
     search = _BasisSearch(lattice)
     comp_slots: dict = {}
@@ -237,7 +247,7 @@ def basis_oracle(lattice):
                 V[i, j] = row.get(slot, 0)
         ids = list(range(len(entries), len(entries) + len(chosen)))
         entries.extend(BasisEntry(members=tuple(m)) for m in chosen)
-        components.append(ComponentSystem(key=key, slots=slots, entry_ids=ids, response=V))
+        components.append(Component(key=key, slots=slots, entry_ids=ids, response=V))
 
     order = sorted(range(len(entries)), key=lambda i: (entries[i].norm2, entries[i].canonical))
     rank = {old: new for new, old in enumerate(order)}
@@ -245,6 +255,96 @@ def basis_oracle(lattice):
         comp.entry_ids = [rank[i] for i in comp.entry_ids]
     return [entries[i] for i in order], cut_ties, components
 
+
+
+def buckets_oracle(lattice, basis, components):
+    """Plan buckets by the per-group loop the transform plan once ran.
+
+    Groups are keyed by their response bytes; each distinct response is
+    inverted once, and a bucket gathers the slots and entries of every
+    group that has it.  Returns ``(class_key, members, M, V, slots,
+    entries)`` per bucket, in the order of the buckets' first groups.
+    """
+    base = lattice._slot_base
+    table: dict = {}
+    for comp in components:
+        V = comp.response
+        key = (V.shape, V.tobytes())
+        if key not in table:
+            table[key] = (comp, np.linalg.inv(V), V.astype(float), [], [])
+        table[key][3].append([base[si] + fi for si, fi in comp.slots])
+        table[key][4].append(comp.entry_ids)
+    return [(first.key, tuple(basis[i].members for i in first.entry_ids), M, V,
+             np.asarray(slots, dtype=np.int64).T, np.asarray(entries, dtype=np.int64).T)
+            for first, M, V, slots, entries in table.values()]
+
+
+# ------------------------------------------------------ per-entry loops
+#
+# The entry-by-entry and chain-by-chain loops the array code replaced, kept
+# as references: the array code must match them bitwise.
+
+
+def basis_integrals_oracle(lattice) -> np.ndarray:
+    """Integral of each basis entry: a product of 1-d weights per member."""
+    out = np.empty(len(lattice.basis))
+    for i, entry in enumerate(lattice.basis):
+        total = 0.0
+        for member in entry.members:
+            v = 1.0
+            for k in member:
+                v *= 0.0 if k % 2 else (2.0 / (1.0 - k * k) if k else 2.0)
+            total += v
+        out[i] = total
+    return out
+
+
+def boundary_degree_oracle(lattice, axis: int = -1) -> int:
+    """Largest k with every face frequency 0..k in the projected basis."""
+    axis = axis % lattice.dim
+    proj = {tuple(v for i, v in enumerate(m) if i != axis)
+            for e in lattice.basis for m in e.members}
+    k = 0
+    while (k + 1,) + (0,) * (lattice.dim - 2) in proj:
+        k += 1
+    return k
+
+
+def differentiate_oracle(lattice, coeffs, axis: int) -> np.ndarray:
+    """Derivative coefficients by the first-kind recurrence, one chain at a time.
+
+    A chain is the set of basis members that agree off ``axis``; chains run
+    in the order of their other components, last axis first, and each
+    chain's nonzero results in degree order.  A result on a basis member
+    adds ``value / member count`` to that member's entry, one at a time.
+    """
+    owner, count, chains = {}, [], {}
+    for i, entry in enumerate(lattice.basis):
+        count.append(len(entry.members))
+        for m in entry.members:
+            owner[m] = i
+            rest = tuple(v for a, v in enumerate(m) if a != axis)
+            chains.setdefault(rest[::-1], []).append((m[axis], coeffs[i]))
+    out = np.zeros(len(count))
+    for rest in sorted(chains):
+        chain = chains[rest]
+        kmax = max(k for k, _ in chain)
+        if kmax == 0:
+            continue
+        dense = np.zeros(kmax + 1)
+        for k, c in chain:
+            dense[k] += c
+        b = np.zeros(kmax + 2)
+        for j in range(kmax - 1, -1, -1):
+            b[j] = b[j + 2] + 2.0 * (j + 1) * dense[j + 1]
+        b[0] /= 2.0
+        for k in np.flatnonzero(b[:kmax]).tolist():
+            m = list(rest[::-1])
+            m.insert(axis, k)
+            i = owner.get(tuple(m))
+            if i is not None:
+                out[i] += b[k] / count[i]
+    return out
 
 # ------------------------------------------------------------- text I/O
 #

@@ -147,7 +147,7 @@ def test_criterion_5_quadrature_exactness():
             assert abs(stencil.weights.sum() - 2.0**dim) <= 1e-12, (family, res)
             V = L.basis_matrix(L.point_thetas)
             got = stencil.weights @ V
-            expect = calc.basis_integrals(L.basis)
+            expect = calc.basis_integrals(L)
             err = np.max(np.abs(got - expect))
             assert err <= 1e-12, (family, res, err)
     _report(5, "quadrature exactness")

@@ -7,6 +7,12 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from cheblat import calculus as calc, lattice as lat, transform as tf
+from oracles import basis_integrals_oracle, differentiate_oracle
+
+# every family, ties included, and the cli-oneshot bcc lattice
+LOOP_PARITY = [("cartesian", 1, 9), ("cartesian", 2, 5), ("cartesian", 3, 4), ("padua", 2, 8),
+               ("hex", 2, 3), ("bcc", 3, 5), ("fcc", 3, 5), ("composite-oct7", 2, 5),
+               ("bcc", 3, 24)]
 
 FAMILIES_SMALL = [
     ("cartesian", 2, 5),
@@ -323,12 +329,22 @@ def test_differentiate_axis_validation():
         calc.differentiate(interp, 2)
 
 
+@pytest.mark.parametrize("family,dim,res", LOOP_PARITY)
+def test_differentiate_matches_chain_loop(family, dim, res):
+    L = lat.build(family, dim, res)
+    c = np.random.default_rng(res).standard_normal(len(L.basis))
+    c[::5], c[1::7] = 0.0, -0.0
+    for axis in range(dim):
+        got = calc.differentiate(calc.Interpolant(L, c), axis).coeffs
+        assert got.tobytes() == differentiate_oracle(L, c, axis).tobytes(), axis
+
+
 # ------------------------------------------------------------- integrals
 
 
 def test_basis_integrals_values():
     L = lat.build("cartesian", 2, 5)
-    vals = calc.basis_integrals(L.basis)
+    vals = calc.basis_integrals(L)
     by_index = {e.canonical: v for e, v in zip(L.basis, vals)}
     assert by_index[(0, 0)] == pytest.approx(4.0, abs=1e-15)
     assert by_index[(2, 0)] == pytest.approx(-4.0 / 3.0, abs=1e-15)
@@ -340,6 +356,12 @@ def test_basis_integrals_values():
     assert by_index[(2, 0)] == pytest.approx(numeric * 2.0, abs=1e-13)
 
 
+@pytest.mark.parametrize("family,dim,res", LOOP_PARITY)
+def test_basis_integrals_match_member_loop(family, dim, res):
+    L = lat.build(family, dim, res)
+    assert calc.basis_integrals(L).tobytes() == basis_integrals_oracle(L).tobytes()
+
+
 def test_quadrature_weight_sum_and_exactness():
     for family, dim, res in FAMILIES_SMALL:
         L, P = make(family, dim, res)
@@ -347,7 +369,7 @@ def test_quadrature_weight_sum_and_exactness():
         assert abs(st_.weights.sum() - 2.0**dim) < 1e-12, family
         V = L.basis_matrix(L.point_thetas)
         got = st_.weights @ V
-        expect = calc.basis_integrals(L.basis)
+        expect = calc.basis_integrals(L)
         assert np.max(np.abs(got - expect)) < 1e-12, family
 
 

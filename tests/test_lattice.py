@@ -9,7 +9,8 @@ import pytest
 
 from cheblat import lattice as lat
 from cheblat.dct import BoundaryType
-from oracles import alias_search, basis_oracle
+from oracles import (alias_search, basis_oracle, boundary_degree_oracle,
+                     lattice_descriptor_oracle)
 
 BRAVAIS_2D = [("cartesian", 2), ("padua", 2), ("hex", 2)]
 BRAVAIS_3D = [("bcc", 3), ("fcc", 3)]
@@ -384,6 +385,14 @@ def test_padua_boundary_degree_advantage():
     assert abs(ratio - math.sqrt(2)) < 0.15
 
 
+@pytest.mark.parametrize("family,dim", ALL_FAMILIES + [("cartesian", 1), ("cartesian", 3)])
+def test_boundary_degree_matches_member_loop(family, dim):
+    for res in small_resolutions(family) + (8,):
+        L = lat.build(family, dim, res)
+        for axis in range(-1, dim):
+            assert lat.boundary_degree(L, axis) == boundary_degree_oracle(L, axis), (res, axis)
+
+
 def test_fcc_boundary_interior_ratio():
     fcc = lat.build("fcc", 3, 2)
     ratio = lat.boundary_efficiency(fcc, 0) / lat.efficiency(fcc)
@@ -425,19 +434,33 @@ CLI_ONESHOT_LATTICES = [("hex", 2, 16), ("padua", 2, 64), ("bcc", 3, 24), ("fcc"
                         ("composite-oct7", 2, 16)]
 
 
+def _groups(L):
+    """Every aliasing group rebuilt from the lattice's blocks, in key order:
+    ``(key, [(grid, flat) slots], entry ids, int64 response)``."""
+    groups = []
+    for block in L.blocks:
+        grid = np.searchsorted(L._slot_base, block.slots, side="right") - 1
+        flat = block.slots - L._slot_base[grid]
+        for g, key in enumerate(block.keys.tolist()):
+            slots = list(zip(grid[:, g].tolist(), flat[:, g].tolist()))
+            groups.append((tuple(key), slots, block.entries[:, g].tolist(), block.V))
+    return sorted(groups, key=lambda group: group[0])
+
+
 def _assert_matches_basis_oracle(L):
     basis, cut_ties, components = basis_oracle(L)
     name = (L.family.value, L.resolution)
     assert [e.members for e in L.basis] == [e.members for e in basis], name
     assert L.cut_ties == cut_ties, name
-    assert len(L.components) == len(components), name
-    for got, ref in zip(L.components, components):
-        assert (got.key, got.slots, got.entry_ids) == (ref.key, ref.slots, ref.entry_ids), name
-        assert got.response.dtype == ref.response.dtype == np.int64, name
-        assert np.array_equal(got.response, ref.response), (name, got.key)
+    groups = _groups(L)
+    assert len(groups) == len(components), name
+    for (key, slots, entry_ids, response), ref in zip(groups, components):
+        assert (key, slots, entry_ids) == (ref.key, ref.slots, ref.entry_ids), name
+        assert response.dtype == ref.response.dtype == np.int64, name
+        assert np.array_equal(response, ref.response), (name, key)
     ref_lattice = copy.copy(L)
     ref_lattice.basis = basis
-    assert lat.lattice_descriptor(L) == lat.lattice_descriptor(ref_lattice), name
+    assert lat.lattice_descriptor(L) == lattice_descriptor_oracle(ref_lattice), name
 
 
 @pytest.mark.parametrize("family,dim", PARITY_SWEEP)

@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from cheblat import calculus, lattice as lat, transform as tf
-from oracles import vandermonde
+from oracles import basis_oracle, buckets_oracle, vandermonde
 
 ALL = [
     ("cartesian", 2, (3, 5)),
@@ -79,30 +79,51 @@ def test_class_matrix_is_inverse_of_direct_evaluation():
     P = tf.plan(L)
     from cheblat.dct import dct_nd
 
-    for comp in L.components:
-        V = np.zeros((len(comp.slots), len(comp.entry_ids)))
-        for j, ei in enumerate(comp.entry_ids):
-            entry = L.basis[ei]
-            for si, g in enumerate(L._grids):
-                lo, hi = L._slot_base[si], L._slot_base[si + 1]
-                th = L.point_thetas[lo:hi]
-                vals = np.zeros(th.shape[0])
-                for member in entry.members:
-                    vals += np.prod(np.cos(th * np.asarray(member)), axis=1)
-                coeffs = dct_nd(vals.reshape(g.counts), g.boundaries).ravel()
-                for i, (sj, flat) in enumerate(comp.slots):
-                    if sj == si:
-                        V[i, j] = coeffs[flat]
-        M = np.linalg.inv(V)
-        assert np.allclose(M @ comp.response, np.eye(V.shape[0]), atol=1e-10)
+    for block in L.blocks:
+        for slot_ids, entry_ids in zip(block.slots.T.tolist(), block.entries.T.tolist()):
+            V = np.zeros(block.V.shape)
+            for j, ei in enumerate(entry_ids):
+                entry = L.basis[ei]
+                for si, g in enumerate(L._grids):
+                    lo, hi = L._slot_base[si], L._slot_base[si + 1]
+                    th = L.point_thetas[lo:hi]
+                    vals = np.zeros(th.shape[0])
+                    for member in entry.members:
+                        vals += np.prod(np.cos(th * np.asarray(member)), axis=1)
+                    coeffs = dct_nd(vals.reshape(g.counts), g.boundaries).ravel()
+                    for i, slot in enumerate(slot_ids):
+                        if lo <= slot < hi:
+                            V[i, j] = coeffs[slot - lo]
+            M = np.linalg.inv(V)
+            assert np.allclose(M @ block.V, np.eye(V.shape[0]), atol=1e-10)
 
 
-def test_singular_plan_reports_group():
-    # direct check of the error path: corrupt a component response
-    L = lat.build("padua", 2, 3)
-    L.components[0].response = np.zeros_like(L.components[0].response)
-    with pytest.raises(lat.LatticeError):
-        tf.plan(L)
+def test_singular_aliasing_block_fails_build(monkeypatch):
+    # the build rejects a singular response block and names its first group
+    responses = lat.ChebyshevLattice._responses
+    monkeypatch.setattr(lat.ChebyshevLattice, "_responses",
+                        lambda self, *args: 0 * responses(self, *args))
+    with pytest.raises(lat.LatticeError, match=r"^aliasing group \(0, 0\) is singular$"):
+        lat.build("padua", 2, 3)
+
+
+@pytest.mark.parametrize("family,dim,res", [
+    ("cartesian", 1, 9), ("cartesian", 2, 5), ("cartesian", 3, 4), ("padua", 2, 8),
+    ("hex", 2, 3), ("bcc", 3, 5), ("fcc", 3, 5), ("composite-oct7", 2, 5),
+    ("hex", 2, 16), ("padua", 2, 64), ("bcc", 3, 24), ("fcc", 3, 12), ("composite-oct7", 2, 16),
+])
+def test_plan_buckets_match_per_group_loop(family, dim, res):
+    # the buckets the plan once built group by group from the search
+    # oracle's components, against the plan's: every field, bit for bit
+    L = lat.build(family, dim, res)
+    basis, _, components = basis_oracle(L)
+    got = tf.plan(L).aliasing_matrices()
+    ref = buckets_oracle(L, basis, components)
+    assert len(got) == len(ref)
+    for b, (class_key, members, M, V, slots, entries) in zip(got, ref):
+        assert (b.class_key, b.members) == (class_key, members)
+        for a, r in ((b.M, M), (b.V, V), (b.slots, slots), (b.entries, entries)):
+            assert a.dtype == r.dtype and a.shape == r.shape and a.tobytes() == r.tobytes()
 
 
 # ---------------------------------------------------------------- forward
