@@ -28,9 +28,10 @@ unisolvency checks crisp; it differs from an orthonormal DCT by diagonal
 factors only.
 
 Types I and II are computed with :mod:`scipy.fft`; the type V transforms,
-which common FFT packages do not provide, are computed by embedding the
-reflected data in a complex FFT of length ``2n - 1``.  `GridDCT` is the
-planned n-d operator (forward, inverse and adjoint of one tensor-product
+which common FFT packages do not provide, reflect each line to its ``2n - 1``
+full-circle points, where it is real and even, and pack two such lines into
+one complex FFT of length ``2n - 1`` as its real and imaginary parts.
+`GridDCT` is the planned n-d operator (forward, inverse and adjoint of one tensor-product
 grid, by dense matrix products on short axes); `dct_nd`, `idct_nd` and
 `adjoint_dct_nd` are thin checked calls to it, and the transforms in
 :mod:`cheblat.transform` hold one per sublattice.
@@ -211,31 +212,58 @@ def _reflect_index(n: int, boundary: BoundaryType) -> np.ndarray:
     return np.concatenate([np.arange(n), np.arange(n - 2, -1, -1)])
 
 
+def _pack(lines: np.ndarray) -> np.ndarray:
+    """Real rows ``(m, k)`` as ``ceil(m / 2)`` complex rows: row ``2r`` is the
+    real part of row ``r`` and row ``2r + 1`` its imaginary part (zero when
+    ``m`` is odd)."""
+    m = len(lines)
+    z = np.empty(((m + 1) // 2, lines.shape[1]), dtype=complex)
+    z.real = lines[0::2]
+    z.imag[: m // 2] = lines[1::2]
+    z.imag[m // 2:] = 0.0
+    return z
+
+
+def _unpack(z: np.ndarray, m: int, shape: tuple[int, ...]) -> np.ndarray:
+    """Inverse of `_pack` on transformed rows, reshaped to ``shape``."""
+    return np.stack((z.real, z.imag), axis=1).reshape(-1, z.shape[1])[:m].reshape(shape)
+
+
 def _dct_v_axis(values: np.ndarray, boundary: BoundaryType, axis: int) -> np.ndarray:
-    """Unscaled type V analysis: ``sum_j g_j cos(k theta_j)`` over the full circle."""
+    """Unscaled type V analysis: ``sum_j g_j cos(k theta_j)`` over the full circle.
+
+    The reflected lines ``g`` are real and even, so their DFT ``G`` is real
+    (V-) or real after the phase ``exp(-i pi k / N)`` (V+, since ``G_k =
+    exp(2 pi i k / N) conj(G_k)``); two lines therefore share one complex FFT
+    as its real and imaginary parts.
+    """
     n = values.shape[axis]
-    g = np.take(values, _reflect_index(n, boundary), axis=axis)
-    G = np.moveaxis(scipy.fft.fft(g, axis=axis), axis, -1)[..., :n]
+    g = np.take(np.moveaxis(values, axis, -1), _reflect_index(n, boundary), axis=-1)
+    lines = g.reshape(-1, 2 * n - 1)
+    G = scipy.fft.fft(_pack(lines), axis=-1, overwrite_x=True)[:, :n]
     if boundary is BoundaryType.TYPE_V_PLUS:
-        G = G * np.exp(-1j * np.pi * np.arange(n) / (2 * n - 1))
-    return np.moveaxis(G.real, -1, axis)
+        G *= np.exp(-1j * np.pi * np.arange(n) / (2 * n - 1))
+    return np.moveaxis(_unpack(G, len(lines), g.shape[:-1] + (n,)), -1, axis)
 
 
 def _idct_v_axis(halved: np.ndarray, boundary: BoundaryType, axis: int) -> np.ndarray:
-    """Unscaled type V synthesis of coefficients already multiplied by ``h``."""
+    """Unscaled type V synthesis of coefficients already multiplied by ``h``.
+
+    Each line's reflected spectrum makes its inverse DFT real, so two lines
+    share one complex inverse FFT, packed as in `_dct_v_axis`.
+    """
     n = halved.shape[axis]
     N = 2 * n - 1
     c = np.moveaxis(halved, axis, -1)
-    S = np.empty(c.shape[:-1] + (N,), dtype=complex)
-    S[..., :n] = c
-    if boundary is BoundaryType.TYPE_V_MINUS:
-        S[..., n:] = c[..., -1:0:-1]
-    else:
-        # raw index N - k carries -exp(-ik theta) on the half-offset grid
-        S[..., n:] = -c[..., -1:0:-1]
+    lines = c.reshape(-1, n)
+    # raw index N - k carries coefficient k
+    S = _pack(lines[:, _reflect_index(n, BoundaryType.TYPE_V_MINUS)])
+    if boundary is BoundaryType.TYPE_V_PLUS:
+        # ... with the sign and phase of -exp(-ik theta) on the half-offset grid
+        np.negative(S[:, n:], out=S[:, n:])
         S *= np.exp(1j * np.pi * np.arange(N) / N)
-    samples = scipy.fft.ifft(S, axis=-1, norm="forward")[..., :n].real
-    return np.moveaxis(samples, -1, axis)
+    samples = scipy.fft.ifft(S, axis=-1, norm="forward", overwrite_x=True)[:, :n]
+    return np.moveaxis(_unpack(samples, len(lines), c.shape), -1, axis)
 
 
 def _on_axis(apply, array: np.ndarray, boundary: BoundaryType, axis: int) -> np.ndarray:
@@ -286,7 +314,8 @@ def idct_1d(coeffs: np.ndarray, boundary: BoundaryType) -> np.ndarray:
 
 
 def dct_typeV(values: np.ndarray, variant: BoundaryType) -> np.ndarray:
-    """Type V analysis transform via a reflected complex FFT of length 2n-1."""
+    """Type V analysis transform of the samples reflected to the 2n-1 full-circle
+    points; on an FFT axis, two real lines share one complex FFT of length 2n-1."""
     if variant not in (BoundaryType.TYPE_V_MINUS, BoundaryType.TYPE_V_PLUS):
         raise ValueError(f"variant must be a type V family, got {variant}")
     values = np.asarray(values, dtype=float)

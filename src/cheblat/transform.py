@@ -8,6 +8,11 @@ the sampling signs of the group's basis polynomials on its DCT slots, and
 the lattice computes them at build time.  They take on a fixed small set
 of values, the lattice's distinct `AliasingBlock`s; the plan inverts each
 once and applies it to all of its groups as one batched matrix product.
+Every slot and every basis position belongs to exactly one group, so the
+buckets' index arrays, raveled end to end, are two permutations: a call
+gathers its input once into bucket order, where each bucket's block is one
+contiguous span, runs the products span by span, and scatters the result
+once.
 
 All operations are reentrant; plans are immutable after construction.
 """
@@ -31,7 +36,11 @@ class TransformError(ValueError):
 
 @dataclass(frozen=True)
 class AliasingBucket:
-    """Groups sharing one aliasing matrix, with gathered index arrays."""
+    """Groups sharing one aliasing matrix, with their index arrays.
+
+    ``slots`` and ``entries`` raveled, bucket after bucket, are the plan's
+    gather and scatter permutations; a call never indexes with them itself.
+    """
 
     class_key: tuple[int, ...]  # key of the first group in the bucket
     members: tuple[tuple[tuple[int, ...], ...], ...]  # its entries' members
@@ -53,6 +62,13 @@ class TransformPlan:
         self._slot_base = lattice._slot_base
         self.buckets = tuple(map(self._bucket, lattice.blocks))
         self._grid_dcts = tuple(GridDCT(g.counts, g.boundaries) for g in lattice._grids)
+        # the gather and scatter permutations (see the module docstring)
+        self._slot_order, self._slot_rank = _permutation([b.slots for b in self.buckets])
+        self._entry_order, self._entry_rank = _permutation([b.entries for b in self.buckets])
+        ends = np.cumsum([b.slots.size for b in self.buckets]).tolist()
+        # (span, block shape, (forward M, inverse V, adjoint M^T)) per bucket
+        self._stages = tuple((slice(hi - b.slots.size, hi), b.slots.shape, (b.M, b.V, b.M.T))
+                             for b, hi in zip(self.buckets, ends))
 
     def _bucket(self, block: AliasingBlock) -> AliasingBucket:
         # the build rejects singular blocks, so inv cannot fail
@@ -77,6 +93,23 @@ class TransformPlan:
             lo, hi = base[si], base[si + 1]
             out[lo:hi].reshape(op.sizes)[...] = apply(op, values[lo:hi].reshape(op.sizes))
         return out
+
+    def _solve(self, x: np.ndarray, k: int) -> np.ndarray:
+        """Matrix ``k`` of each bucket's stage applied to its block of the gathered ``x``."""
+        y = np.empty_like(x)
+        for span, shape, matrices in self._stages:
+            np.matmul(matrices[k], x[span].reshape(shape), out=y[span].reshape(shape))
+        return y
+
+
+def _permutation(indices: list[np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
+    """``indices`` raveled end to end, a permutation, and its inverse (O(n), no
+    sort); both read-only."""
+    order = np.concatenate([a.ravel() for a in indices])
+    rank = np.empty_like(order)
+    rank[order] = np.arange(len(order))
+    order.flags.writeable = rank.flags.writeable = False
+    return order, rank
 
 
 def plan(lattice: ChebyshevLattice) -> TransformPlan:
@@ -111,19 +144,14 @@ def forward(plan: TransformPlan, samples) -> np.ndarray:
     Cost is O(m n log n + m^2 n) for n points on m sublattices.
     """
     samples = _check_samples(plan, samples)
-    slots = plan._per_grid(GridDCT.forward, samples)
-    out = np.empty(len(plan.lattice.basis))
-    for b in plan.buckets:
-        out[b.entries] = b.M @ slots[b.slots]
-    return out
+    slots = plan._per_grid(GridDCT.forward, samples).take(plan._slot_order)
+    return plan._solve(slots, 0).take(plan._entry_rank)
 
 
 def inverse(plan: TransformPlan, coeffs) -> np.ndarray:
     """Samples at the lattice points from coefficients (exact right inverse)."""
-    coeffs = _check_coeffs(plan, coeffs)
-    slots = np.empty(plan.lattice.npoints)
-    for b in plan.buckets:
-        slots[b.slots] = b.V @ coeffs[b.entries]
+    coeffs = _check_coeffs(plan, coeffs).take(plan._entry_order)
+    slots = plan._solve(coeffs, 1).take(plan._slot_rank)
     return plan._per_grid(GridDCT.inverse, slots)
 
 
@@ -133,10 +161,8 @@ def adjoint(plan: TransformPlan, functional) -> np.ndarray:
     Satisfies ``<functional, forward(samples)> = <adjoint(functional),
     samples>`` for all samples.
     """
-    functional = _check_coeffs(plan, functional)
-    slots = np.zeros(plan.lattice.npoints)
-    for b in plan.buckets:
-        slots[b.slots] = b.M.T @ functional[b.entries]
+    functional = _check_coeffs(plan, functional).take(plan._entry_order)
+    slots = plan._solve(functional, 2).take(plan._slot_rank)
     return plan._per_grid(GridDCT.adjoint, slots)
 
 

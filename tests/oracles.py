@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from cheblat.dct import BoundaryType, nodes_1d
+from cheblat.dct import BoundaryType, GridDCT, nodes_1d
 
 
 def dct_oracle(values: np.ndarray, boundary: BoundaryType) -> np.ndarray:
@@ -277,6 +277,37 @@ def buckets_oracle(lattice, basis, components):
     return [(first.key, tuple(basis[i].members for i in first.entry_ids), M, V,
              np.asarray(slots, dtype=np.int64).T, np.asarray(entries, dtype=np.int64).T)
             for first, M, V, slots, entries in table.values()]
+
+
+# ------------------------------------------------------ bucket loops
+#
+# forward, inverse and adjoint with the bucket stage as the per-bucket
+# gather/scatter loops the plan's slot and entry permutations replaced; the
+# per-sublattice DCT stage is the plan's own.
+
+
+def forward_bucket_oracle(plan, samples) -> np.ndarray:
+    slots = plan._per_grid(GridDCT.forward, np.asarray(samples, dtype=float))
+    out = np.empty(len(plan.lattice.basis))
+    for b in plan.buckets:
+        out[b.entries] = b.M @ slots[b.slots]
+    return out
+
+
+def inverse_bucket_oracle(plan, coeffs) -> np.ndarray:
+    coeffs = np.asarray(coeffs, dtype=float)
+    slots = np.empty(plan.lattice.npoints)
+    for b in plan.buckets:
+        slots[b.slots] = b.V @ coeffs[b.entries]
+    return plan._per_grid(GridDCT.inverse, slots)
+
+
+def adjoint_bucket_oracle(plan, functional) -> np.ndarray:
+    functional = np.asarray(functional, dtype=float)
+    slots = np.zeros(plan.lattice.npoints)
+    for b in plan.buckets:
+        slots[b.slots] = b.M.T @ functional[b.entries]
+    return plan._per_grid(GridDCT.adjoint, slots)
 
 
 # ------------------------------------------------------ per-entry loops

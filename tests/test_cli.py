@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from cheblat import lattice as lat, transform as tf
-from cheblat.cli import main
+from cheblat.cli import _parser, main
 
 
 def run_cli(*args):
@@ -159,6 +159,21 @@ def test_bench_quad_deterministic(tmp_path):
     assert a.read_bytes() == b.read_bytes()
     header = a.read_text().splitlines()[0]
     assert header == "family,dim,resolution,npoints,euclidean_degree,error_mean,error_std,trials,seed"
+
+
+def test_bench_quad_rejects_runge(capsys):
+    # runge's reference integral never converges, so bench-quad refuses it
+    # as a usage error; bench-interp needs no reference and keeps it
+    args = ("--families", "cartesian", "--dim", "2", "--resolutions", "3", "--trials", "1")
+    with pytest.raises(SystemExit) as exc:
+        main(["bench-quad", *args, "--function", "runge"])
+    assert exc.value.code == 2
+    assert "invalid choice: 'runge'" in capsys.readouterr().err
+    assert _parser().parse_args(["bench-quad", *args, "--function", "esssing"]).function == "esssing"
+    assert main(["bench-quad", *args, "--function", "gaussian"]) == 0
+    capsys.readouterr()
+    assert main(["bench-interp", *args, "--function", "runge", "--budget", "500"]) == 0
+    assert capsys.readouterr().out.startswith("family,dim,resolution,")
 
 
 def test_bench_interp_svg(tmp_path):

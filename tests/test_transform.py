@@ -3,7 +3,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from cheblat import calculus, lattice as lat, transform as tf
-from oracles import basis_oracle, buckets_oracle, vandermonde
+from oracles import (adjoint_bucket_oracle, basis_oracle, buckets_oracle, forward_bucket_oracle,
+                     inverse_bucket_oracle, vandermonde)
 
 ALL = [
     ("cartesian", 2, (3, 5)),
@@ -124,6 +125,32 @@ def test_plan_buckets_match_per_group_loop(family, dim, res):
         assert (b.class_key, b.members) == (class_key, members)
         for a, r in ((b.M, M), (b.V, V), (b.slots, slots), (b.entries, entries)):
             assert a.dtype == r.dtype and a.shape == r.shape and a.tobytes() == r.tobytes()
+
+
+@pytest.mark.parametrize("family,dim,res", [
+    ("cartesian", 1, 9), ("cartesian", 2, 5), ("cartesian", 3, 4), ("padua", 2, 2),
+    ("padua", 2, 32), ("hex", 2, 3), ("bcc", 3, 5), ("fcc", 3, 5), ("composite-oct7", 2, 5),
+    # the cli-oneshot benchmark lattices
+    ("hex", 2, 16), ("padua", 2, 64), ("bcc", 3, 24), ("fcc", 3, 12), ("composite-oct7", 2, 16),
+])
+def test_bucket_stage_matches_per_bucket_loops(family, dim, res):
+    # one gather and one scatter through the plan's permutations give the
+    # per-bucket loops' results bit for bit
+    L = lat.build(family, dim, res)
+    P = tf.plan(L)
+    rng = np.random.default_rng(res)
+    s, c = rng.standard_normal(L.npoints), rng.standard_normal(len(L.basis))
+    for got, ref in ((tf.forward(P, s), forward_bucket_oracle(P, s)),
+                     (tf.inverse(P, c), inverse_bucket_oracle(P, c)),
+                     (tf.adjoint(P, c), adjoint_bucket_oracle(P, c))):
+        assert got.dtype == ref.dtype and got.tobytes() == ref.tobytes()
+    identity = np.arange(L.npoints)
+    for order, rank in ((P._slot_order, P._slot_rank), (P._entry_order, P._entry_rank)):
+        for a in (order, rank):
+            assert a.dtype == np.int64 and np.array_equal(np.sort(a), identity)
+            with pytest.raises(ValueError):
+                a[0] = 0
+        assert np.array_equal(rank[order], identity)
 
 
 # ---------------------------------------------------------------- forward
