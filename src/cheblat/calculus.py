@@ -19,7 +19,8 @@ import numpy as np
 
 from .lattice import ChebyshevLattice
 # ``make_plan`` stays a module attribute: perfbench/tracer.py wraps calculus.make_plan.
-from .transform import TransformPlan, _csv, adjoint, forward, plan as make_plan  # noqa: F401
+from .transform import (TransformPlan, _check_vector, _csv, adjoint, forward,  # noqa: F401
+                        plan as make_plan)
 
 
 class CalculusError(ValueError):
@@ -34,12 +35,8 @@ class Interpolant:
     coeffs: np.ndarray
 
     def __post_init__(self):
-        self.coeffs = np.asarray(self.coeffs, dtype=float)
-        if self.coeffs.shape != (len(self.lattice.basis),):
-            raise CalculusError(
-                f"expected {len(self.lattice.basis)} coefficients, "
-                f"got shape {self.coeffs.shape}"
-            )
+        self.coeffs = _check_vector(self.coeffs, len(self.lattice.basis), "coefficients",
+                                    CalculusError)
 
     def __call__(self, x):
         return evaluate(self, x)
@@ -200,11 +197,7 @@ def quadrature_stencil(plan: TransformPlan) -> QuadratureStencil:
 
 def integrate(stencil: QuadratureStencil, samples) -> float:
     """Dot product of stencil weights with samples at the lattice points."""
-    samples = np.asarray(samples, dtype=float)
-    if samples.shape != stencil.weights.shape:
-        raise CalculusError(
-            f"expected {stencil.weights.shape[0]} samples, got shape {samples.shape}"
-        )
+    samples = _check_vector(samples, len(stencil.weights), "samples", CalculusError)
     return float(stencil.weights @ samples)
 
 

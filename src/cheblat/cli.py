@@ -102,18 +102,23 @@ def _cmd_transform(args) -> int:
     return 0
 
 
-def _parse_point(text: str, dim: int) -> np.ndarray:
-    parts = [float(v) for v in text.split(",")]
-    if len(parts) != dim:
-        raise calculus.CalculusError(f"--at expects {dim} comma-separated coordinates")
-    return np.asarray(parts)
+def _list_of(kind):
+    """argparse type: a comma-separated list of ``kind`` values."""
+    def parse(text: str) -> list:
+        try:
+            return [kind(v) for v in text.split(",")]
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"invalid {kind.__name__} list: {text!r}") from None
+    return parse
 
 
 def _cmd_eval(args) -> int:
     lattice = _build_lattice(args)
     coeffs = tf.coefficients_from_csv(lattice, _read_file(args.coeffs))
     interp = calculus.Interpolant(lattice, coeffs)
-    pts = np.array([_parse_point(t, lattice.dim) for t in args.at])
+    if any(len(point) != lattice.dim for point in args.at):
+        raise calculus.CalculusError(f"--at expects {lattice.dim} comma-separated coordinates")
+    pts = np.array(args.at)
     vals = calculus.evaluate(interp, pts)
     _emit(tf._csv(np.column_stack([pts, vals])), args.out)
     return 0
@@ -142,7 +147,7 @@ def _cmd_integrate(args) -> int:
 
 def _parse_sweep(args) -> dict[str, tuple[int, ...]]:
     families = [f.strip() for f in args.families.split(",") if f.strip()]
-    resolutions = tuple(int(v) for v in args.resolutions.split(","))
+    resolutions = tuple(args.resolutions)
     return {fam: resolutions for fam in families}
 
 
@@ -210,7 +215,8 @@ def _parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("eval", help="evaluate a coefficient file at points")
     _add_lattice_args(sp)
     sp.add_argument("--coeffs", required=True)
-    sp.add_argument("--at", action="append", required=True, help="point as x1,x2[,x3]; repeatable")
+    sp.add_argument("--at", action="append", required=True, type=_list_of(float),
+                    help="point as x1,x2[,x3]; repeatable")
     sp.add_argument("--out")
     sp.set_defaults(func=_cmd_eval)
 
@@ -232,7 +238,8 @@ def _parser() -> argparse.ArgumentParser:
         sp = sub.add_parser(name, help=f"rotation-averaged {'integration' if quad else 'interpolation'} sweep")
         sp.add_argument("--families", required=True, help="comma-separated family names")
         sp.add_argument("--dim", type=int, required=True)
-        sp.add_argument("--resolutions", required=True, help="comma-separated resolutions")
+        sp.add_argument("--resolutions", required=True, type=_list_of(int),
+                        help="comma-separated resolutions")
         # runge's cone at the centre defeats the Gauss-Legendre reference integral
         sp.add_argument("--function", default="gaussian",
                         choices=("gaussian", "esssing") if quad else ("gaussian", "runge", "esssing"))

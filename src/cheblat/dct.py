@@ -1,24 +1,26 @@
 """Discrete cosine transforms for the four symmetric Chebyshev node families.
 
 Nodes live on the half-circle: a grid is a set of equispaced angles
-``theta`` in ``[0, pi]`` and the abscissae are ``x = cos(theta)``.  Four
-distinct families exist for a given point count, distinguished by which of
-the endpoints ``x = +1`` (``theta = 0``) and ``x = -1`` (``theta = pi``)
-they contain:
+``theta`` in ``[0, pi]`` and the abscissae are ``x = cos(theta)``.  Every
+family is one rule, ``theta_j = pi (2j + s) / N`` for ``j < n`` (the
+symmetric-extension view of Martucci, IEEE TSP 42, 1994): the grid unfolds
+to ``N`` points on the whole circle once reflected through ``theta = 0``,
+and the shift ``s`` is 1 when it is offset by half a spacing.  ``N mod 2``
+and ``s`` fix which endpoints, ``x = +1`` (``theta = 0``) and ``x = -1``
+(``theta = pi``), the family contains:
 
-================  ============================  ==========  ===========
-family            theta_i                        endpoints   full circle
-================  ============================  ==========  ===========
-``TYPE_I``        ``pi * i / (n - 1)``           both        ``2(n-1)``
-``TYPE_II``       ``pi * (2i + 1) / (2n)``       neither     ``2n``
-``TYPE_V_MINUS``  ``pi * 2i / (2n - 1)``         ``+1``      ``2n - 1``
-``TYPE_V_PLUS``   ``pi * (2i + 1) / (2n - 1)``   ``-1``      ``2n - 1``
-================  ============================  ==========  ===========
+================  ============  =====  ==========
+family            ``N``         ``s``  endpoints
+================  ============  =====  ==========
+``TYPE_I``        ``2(n-1)``    0      both
+``TYPE_II``       ``2n``        1      neither
+``TYPE_V_MINUS``  ``2n - 1``    0      ``+1``
+``TYPE_V_PLUS``   ``2n - 1``    1      ``-1``
+================  ============  =====  ==========
 
-"full circle" is the number of points the grid unfolds to on the whole
-circle once reflected through ``theta = 0``; it is the quantity that
-governs aliasing (modes ``k`` and ``k'`` coincide on the grid when
-``k' = +-k mod N``).
+Modes ``k`` and ``k'`` coincide on the grid when ``k' = +-k mod N``.  The
+reflection ``theta -> -theta`` fixes the nodes with ``N | 2j + s`` (the
+endpoints) and the modes with ``N | 2k``; every per-family factor follows.
 
 Normalization: `dct_1d` returns coefficients ``c`` such that sampling
 ``cos(k * theta)`` on the grid yields exactly the unit vector ``e_k``, so
@@ -49,20 +51,18 @@ import scipy.fft
 
 
 class BoundaryType(enum.Enum):
-    """Which endpoints of ``[-1, 1]`` a node family contains."""
+    """Which endpoints of ``[-1, 1]`` a node family contains, and its ``shift`` ``s``."""
 
     TYPE_I = "I"
     TYPE_II = "II"
     TYPE_V_MINUS = "V-"
     TYPE_V_PLUS = "V+"
 
-    @property
-    def contains_plus_one(self) -> bool:
-        return self in (BoundaryType.TYPE_I, BoundaryType.TYPE_V_MINUS)
-
-    @property
-    def contains_minus_one(self) -> bool:
-        return self in (BoundaryType.TYPE_I, BoundaryType.TYPE_V_PLUS)
+    def __init__(self, value: str):
+        # plain attributes: the transforms read them on every call
+        self.shift = int(value in ("II", "V+"))
+        self.contains_plus_one = not self.shift
+        self.contains_minus_one = value in ("I", "V+")
 
 
 @dataclass(frozen=True)
@@ -93,11 +93,12 @@ class Grid1D:
 
 
 def circle_count(n: int, boundary: BoundaryType) -> int:
-    if boundary is BoundaryType.TYPE_I:
-        return 2 * (n - 1)
-    if boundary is BoundaryType.TYPE_II:
-        return 2 * n
-    return 2 * n - 1
+    # an endpoint is its own mirror, every other node unfolds to two points
+    return 2 * n - boundary.contains_plus_one - boundary.contains_minus_one
+
+
+# the family of each (N mod 2, s)
+_FAMILY = {(circle_count(2, b) % 2, b.shift): b for b in BoundaryType}
 
 
 def grid_spec_from_circle(N: int, half_shift: int) -> tuple[int, BoundaryType]:
@@ -108,13 +109,7 @@ def grid_spec_from_circle(N: int, half_shift: int) -> tuple[int, BoundaryType]:
     """
     if N < 1 or half_shift not in (0, 1):
         raise ValueError(f"invalid grid spec N={N}, half_shift={half_shift}")
-    if N % 2 == 0:
-        if half_shift == 0:
-            return N // 2 + 1, BoundaryType.TYPE_I
-        return N // 2, BoundaryType.TYPE_II
-    if half_shift == 0:
-        return (N + 1) // 2, BoundaryType.TYPE_V_MINUS
-    return (N + 1) // 2, BoundaryType.TYPE_V_PLUS
+    return (N + 2 - half_shift) // 2, _FAMILY[N % 2, half_shift]
 
 
 def nodes_1d(n: int, boundary: BoundaryType) -> Grid1D:
@@ -129,16 +124,27 @@ def nodes_1d(n: int, boundary: BoundaryType) -> Grid1D:
         If ``n < 1``, or ``n < 2`` for ``TYPE_I``.
     """
     _check_axis_size(n, boundary)
-    i = np.arange(n)
-    if boundary is BoundaryType.TYPE_I:
-        thetas = np.pi * i / (n - 1)
-    elif boundary is BoundaryType.TYPE_II:
-        thetas = np.pi * (2 * i + 1) / (2 * n)
-    elif boundary is BoundaryType.TYPE_V_MINUS:
-        thetas = np.pi * (2 * i) / (2 * n - 1)
-    else:
-        thetas = np.pi * (2 * i + 1) / (2 * n - 1)
+    p, N = _numerators(n, boundary)
+    thetas = np.pi * p / N
     return Grid1D(n=n, boundary=boundary, thetas=thetas, xs=np.cos(thetas))
+
+
+def _numerators(n: int, boundary: BoundaryType) -> tuple[np.ndarray, int]:
+    """``p_j = 2j + s`` and ``N``: the nodes' angles are ``pi p_j / N``."""
+    s = boundary.shift
+    return np.arange(s, 2 * n + s, 2), circle_count(n, boundary)
+
+
+def _mirror_fill(n: int, s: int, N: int, value: float, own: float) -> np.ndarray:
+    """``value`` at each ``j < n``, but ``own`` where ``N | 2j + s``: the endpoint
+    nodes for ``s`` a family's shift, the modes met once on the circle for
+    ``s = 0``.  As ``0 <= 2j + s <= N``, only ``j = 0`` and ``n - 1`` can be."""
+    out = np.empty(n)
+    out.fill(value)
+    for j in (0, n - 1):
+        if (2 * j + s) % N == 0:
+            out[j] = own
+    return out
 
 
 def _check_axis_size(n: int, boundary: BoundaryType) -> None:
@@ -156,35 +162,16 @@ def _check_finite(values: np.ndarray) -> None:
 def analysis_prefactor(n: int, boundary: BoundaryType) -> np.ndarray:
     """Diagonal factor ``a_k`` of the analysis transform.
 
-    ``c_k = a_k * sum_i w_i f_i cos(k theta_i)`` with ``w_i = 1/2`` at
-    ``theta in {0, pi}`` and 1 elsewhere.
+    ``c_k = a_k * sum_i w_i f_i cos(k theta_i)`` with ``w`` = `node_weights`;
+    ``a_k = 4 / N``, halved on the modes that are their own mirror.
     """
-    a = np.empty(n)
-    if boundary is BoundaryType.TYPE_I:
-        a[:] = 2.0 / (n - 1)
-        a[0] = 1.0 / (n - 1)
-        a[-1] = 1.0 / (n - 1)  # top mode pairs with itself on the circle
-    elif boundary is BoundaryType.TYPE_II:
-        a[:] = 2.0 / n
-        a[0] = 1.0 / n
-    else:
-        N = 2 * n - 1
-        a[:] = 4.0 / N
-        a[0] = 2.0 / N
-    return a
+    N = circle_count(n, boundary)
+    return _mirror_fill(n, 0, N, 4.0 / N, 2.0 / N)
 
 
 def node_weights(n: int, boundary: BoundaryType) -> np.ndarray:
     """Trapezoidal node weights ``w_i`` (1/2 at ``theta in {0, pi}``)."""
-    w = np.ones(n)
-    if boundary is BoundaryType.TYPE_I:
-        w[0] = 0.5
-        w[-1] = 0.5
-    elif boundary is BoundaryType.TYPE_V_MINUS:
-        w[0] = 0.5
-    elif boundary is BoundaryType.TYPE_V_PLUS:
-        w[-1] = 0.5
-    return w
+    return _mirror_fill(n, boundary.shift, circle_count(n, boundary), 1.0, 0.5)
 
 
 def _halving(n: int, boundary: BoundaryType) -> np.ndarray:
@@ -196,20 +183,14 @@ def _halving(n: int, boundary: BoundaryType) -> np.ndarray:
     the adjoint is ``w`` times the unscaled synthesis of ``a * h * u``, with
     ``a`` = `analysis_prefactor` and ``w`` = `node_weights`.
     """
-    half = np.full(n, 0.5)
-    half[0] = 1.0
-    if boundary is BoundaryType.TYPE_I:
-        half[-1] = 1.0
-    return half
+    return _mirror_fill(n, 0, circle_count(n, boundary), 0.5, 1.0)
 
 
 def _reflect_index(n: int, boundary: BoundaryType) -> np.ndarray:
-    """Index map unfolding samples to the full circle (type V only)."""
-    if boundary is BoundaryType.TYPE_V_MINUS:
-        # angles 2*pi*j/N for j = 0..N-1; j >= n mirrors index N - j
-        return np.concatenate([np.arange(n), np.arange(n - 1, 0, -1)])
-    # V+: angles 2*pi*(j + 1/2)/N; j >= n mirrors index N - 1 - j
-    return np.concatenate([np.arange(n), np.arange(n - 2, -1, -1)])
+    """Index map unfolding samples to the full circle (type V only): circle
+    point ``t`` has angle ``pi (2t + s) / N``, and ``t >= n`` mirrors node ``N - s - t``."""
+    s = boundary.shift
+    return np.concatenate([np.arange(n), np.arange(n - 1 - s, -s, -1)])
 
 
 def _pack(lines: np.ndarray) -> np.ndarray:
@@ -346,16 +327,8 @@ def _cosine_matrix(n: int, boundary: BoundaryType) -> np.ndarray:
     ``theta_j = pi p_j / q`` for integers ``p_j, q``, so ``k theta_j`` is
     reduced as the integer ``k p_j mod 2q`` before the cosine is taken.
     """
-    j = np.arange(n)
-    if boundary is BoundaryType.TYPE_I:
-        p, q = 2 * j, 2 * (n - 1)
-    elif boundary is BoundaryType.TYPE_II:
-        p, q = 2 * j + 1, 2 * n
-    elif boundary is BoundaryType.TYPE_V_MINUS:
-        p, q = 2 * j, 2 * n - 1
-    else:
-        p, q = 2 * j + 1, 2 * n - 1
-    return np.cos(np.pi * (np.outer(j, p) % (2 * q)) / q)
+    p, q = _numerators(n, boundary)
+    return np.cos(np.pi * (np.outer(np.arange(n), p) % (2 * q)) / q)
 
 
 def _dense_axis(values: np.ndarray, matrix: np.ndarray, axis: int) -> np.ndarray:

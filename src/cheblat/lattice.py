@@ -62,7 +62,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .dct import BoundaryType, grid_spec_from_circle
+from .dct import BoundaryType, _numerators, grid_spec_from_circle
 
 
 class LatticeError(ValueError):
@@ -262,24 +262,14 @@ def _reciprocal_matrix(family: Family, dim: int, resolution: int) -> np.ndarray:
 def _bravais_grids(Q: np.ndarray) -> list[CartesianSublattice]:
     """Decompose the dual of an integer reciprocal lattice into shifted grids.
 
-    Per-axis spacings come from the column gcds of Q; candidate half-shift
-    patterns are tested for membership in the dual lattice exactly.
+    Per-axis circle counts ``N`` are the column gcds of Q; a half-shift
+    pattern ``s`` is in the dual lattice when ``<q, s / N>`` is even for
+    every row ``q``, an integer since ``N`` divides the columns.
     """
-    Qi = [[int(v) for v in row] for row in Q]
-    d = len(Qi)
-    circle = tuple(math.gcd(*(abs(Qi[r][c]) for r in range(d))) for c in range(d))
-    grids = []
-    for shift in itertools.product((0, 1), repeat=d):
-        # theta/pi = shift_i / N_i must satisfy <q_row, theta> in 2 pi Z
-        ok = True
-        for row in Qi:
-            acc = sum(Fraction(row[i] * shift[i], circle[i]) for i in range(d))
-            if acc % 2 != 0:
-                ok = False
-                break
-        if ok:
-            grids.append(CartesianSublattice(circle, shift))
-    return grids
+    circle = tuple(math.gcd(*col) for col in Q.T.tolist())
+    steps = Q // np.array(circle)
+    return [CartesianSublattice(circle, s) for s in itertools.product((0, 1), repeat=len(circle))
+            if not (steps @ s % 2).any()]
 
 
 # Unit-cell residues of the 7-point composite lattice on the quarter grid
@@ -390,7 +380,7 @@ class ChebyshevLattice:
     def _build_points(self) -> None:
         blocks = []
         for g in self._grids:
-            axes = [np.array(g.axis_theta_fractions(ax), dtype=float) for ax in range(self.dim)]
+            axes = [p / N for p, N in map(_numerators, g.counts, g.boundaries)]  # theta / pi
             mesh = np.meshgrid(*axes, indexing="ij")
             blocks.append(np.column_stack([m.ravel() for m in mesh]))
         fracs = np.vstack(blocks)
@@ -398,6 +388,8 @@ class ChebyshevLattice:
         self.points = np.cos(self.point_thetas)
         self.npoints = fracs.shape[0]
         self._slot_base = np.cumsum([0] + [g.npoints for g in self._grids])
+        for a in (self.point_thetas, self.points, self._slot_base):
+            a.flags.writeable = False
 
     @property
     def point_fractions(self) -> list[tuple[Fraction, ...]]:

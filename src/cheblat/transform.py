@@ -9,8 +9,8 @@ the lattice computes them at build time.  They take on a fixed small set
 of values, the lattice's distinct `AliasingBlock`s; the plan inverts each
 once and applies it to all of its groups as one batched matrix product.
 Every slot and every basis position belongs to exactly one group, so the
-buckets' index arrays, raveled end to end, are two permutations: a call
-gathers its input once into bucket order, where each bucket's block is one
+blocks' index arrays, raveled end to end, are two permutations: a call
+gathers its input once into block order, where each block's groups are one
 contiguous span, runs the products span by span, and scatters the result
 once.
 
@@ -20,34 +20,16 @@ All operations are reentrant; plans are immutable after construction.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 
 import numpy as np
 
 # dct_nd, idct_nd, adjoint_dct_nd and dct_axis stay bound here: perfbench/tracer.py wraps them.
 from .dct import GridDCT, adjoint_dct_nd, dct_axis, dct_nd, idct_nd  # noqa: F401
-from .lattice import (_G17, AliasingBlock, ChebyshevLattice, Family, LatticeError,
-                      _canonical_indices, _format_rows)
+from .lattice import _G17, ChebyshevLattice, Family, LatticeError, _canonical_indices, _format_rows
 
 
 class TransformError(ValueError):
     """Raised for malformed transform inputs."""
-
-
-@dataclass(frozen=True)
-class AliasingBucket:
-    """Groups sharing one aliasing matrix, with their index arrays.
-
-    ``slots`` and ``entries`` raveled, bucket after bucket, are the plan's
-    gather and scatter permutations; a call never indexes with them itself.
-    """
-
-    class_key: tuple[int, ...]  # key of the first group in the bucket
-    members: tuple[tuple[tuple[int, ...], ...], ...]  # its entries' members
-    M: np.ndarray  # (nentries, nslots): slot values -> coefficients
-    V: np.ndarray  # (nslots, nentries): float responses, M = V^{-1}
-    slots: np.ndarray  # (nslots, ngroups) flat slot indices
-    entries: np.ndarray  # (nentries, ngroups) basis positions
 
 
 class TransformPlan:
@@ -60,30 +42,23 @@ class TransformPlan:
     def __init__(self, lattice: ChebyshevLattice):
         self.lattice = lattice
         self._slot_base = lattice._slot_base
-        self.buckets = tuple(map(self._bucket, lattice.blocks))
         self._grid_dcts = tuple(GridDCT(g.counts, g.boundaries) for g in lattice._grids)
+        blocks = lattice.blocks
         # the gather and scatter permutations (see the module docstring)
-        self._slot_order, self._slot_rank = _permutation([b.slots for b in self.buckets])
-        self._entry_order, self._entry_rank = _permutation([b.entries for b in self.buckets])
-        ends = np.cumsum([b.slots.size for b in self.buckets]).tolist()
-        # (span, block shape, (forward M, inverse V, adjoint M^T)) per bucket
-        self._stages = tuple((slice(hi - b.slots.size, hi), b.slots.shape, (b.M, b.V, b.M.T))
-                             for b, hi in zip(self.buckets, ends))
+        self._slot_order, self._slot_rank = _permutation([b.slots for b in blocks])
+        self._entry_order, self._entry_rank = _permutation([b.entries for b in blocks])
+        ends = np.cumsum([b.slots.size for b in blocks]).tolist()
+        stages = []  # (span, block shape, (forward M = V^{-1}, inverse V, adjoint M^T)) per block
+        for b, hi in zip(blocks, ends):
+            M, V = np.linalg.inv(b.V), b.V.astype(float)  # the build rejects singular blocks
+            M.flags.writeable = V.flags.writeable = False
+            stages.append((slice(hi - b.slots.size, hi), b.slots.shape, (M, V, M.T)))
+        self._stages = tuple(stages)
 
-    def _bucket(self, block: AliasingBlock) -> AliasingBucket:
-        # the build rejects singular blocks, so inv cannot fail
-        M, V = np.linalg.inv(block.V), block.V.astype(float)
-        M.flags.writeable = V.flags.writeable = False
-        return AliasingBucket(
-            class_key=tuple(block.keys[0].tolist()),
-            members=tuple(self.lattice.basis[i].members for i in block.entries[:, 0].tolist()),
-            M=M, V=V, slots=block.slots, entries=block.entries,
-        )
-
-    def aliasing_matrices(self) -> list[AliasingBucket]:
-        """The plan's buckets, one per distinct aliasing system, for inspection
-        and testing; their arrays are read-only."""
-        return list(self.buckets)
+    def aliasing_matrices(self) -> list[np.ndarray]:
+        """``M = V^{-1}`` of each of ``lattice.blocks``, in that order, for
+        inspection and testing; the plan's own read-only arrays."""
+        return [matrices[0] for _, _, matrices in self._stages]
 
     def _per_grid(self, apply, values: np.ndarray) -> np.ndarray:
         """``apply(op, block)`` for every sublattice's `GridDCT` and block of ``values``."""
@@ -95,7 +70,7 @@ class TransformPlan:
         return out
 
     def _solve(self, x: np.ndarray, k: int) -> np.ndarray:
-        """Matrix ``k`` of each bucket's stage applied to its block of the gathered ``x``."""
+        """Matrix ``k`` of each block's stage applied to its span of the gathered ``x``."""
         y = np.empty_like(x)
         for span, shape, matrices in self._stages:
             np.matmul(matrices[k], x[span].reshape(shape), out=y[span].reshape(shape))
@@ -117,25 +92,14 @@ def plan(lattice: ChebyshevLattice) -> TransformPlan:
     return TransformPlan(lattice)
 
 
-def _check_samples(plan: TransformPlan, samples) -> np.ndarray:
-    samples = np.asarray(samples, dtype=float)
-    if samples.shape != (plan.lattice.npoints,):
-        raise TransformError(
-            f"expected {plan.lattice.npoints} samples, got shape {samples.shape}"
-        )
-    if not np.all(np.isfinite(samples)):
-        raise TransformError("samples contain NaN or Inf")
-    return samples
-
-
-def _check_coeffs(plan: TransformPlan, coeffs) -> np.ndarray:
-    coeffs = np.asarray(coeffs, dtype=float)
-    nbasis = len(plan.lattice.basis)
-    if coeffs.shape != (nbasis,):
-        raise TransformError(f"expected {nbasis} coefficients, got shape {coeffs.shape}")
-    if not np.all(np.isfinite(coeffs)):
-        raise TransformError("coefficients contain NaN or Inf")
-    return coeffs
+def _check_vector(values, n: int, what: str, error: type = TransformError) -> np.ndarray:
+    """``values`` as a float vector of ``n`` finite ``what``, else ``error``."""
+    values = np.asarray(values, dtype=float)
+    if values.shape != (n,):
+        raise error(f"expected {n} {what}, got shape {values.shape}")
+    if not np.all(np.isfinite(values)):
+        raise error(f"{what} contain NaN or Inf")
+    return values
 
 
 def forward(plan: TransformPlan, samples) -> np.ndarray:
@@ -143,14 +107,14 @@ def forward(plan: TransformPlan, samples) -> np.ndarray:
 
     Cost is O(m n log n + m^2 n) for n points on m sublattices.
     """
-    samples = _check_samples(plan, samples)
+    samples = _check_vector(samples, plan.lattice.npoints, "samples")
     slots = plan._per_grid(GridDCT.forward, samples).take(plan._slot_order)
     return plan._solve(slots, 0).take(plan._entry_rank)
 
 
 def inverse(plan: TransformPlan, coeffs) -> np.ndarray:
     """Samples at the lattice points from coefficients (exact right inverse)."""
-    coeffs = _check_coeffs(plan, coeffs).take(plan._entry_order)
+    coeffs = _check_vector(coeffs, len(plan.lattice.basis), "coefficients").take(plan._entry_order)
     slots = plan._solve(coeffs, 1).take(plan._slot_rank)
     return plan._per_grid(GridDCT.inverse, slots)
 
@@ -161,7 +125,8 @@ def adjoint(plan: TransformPlan, functional) -> np.ndarray:
     Satisfies ``<functional, forward(samples)> = <adjoint(functional),
     samples>`` for all samples.
     """
-    functional = _check_coeffs(plan, functional).take(plan._entry_order)
+    functional = _check_vector(functional, len(plan.lattice.basis), "coefficients"
+                               ).take(plan._entry_order)
     slots = plan._solve(functional, 2).take(plan._slot_rank)
     return plan._per_grid(GridDCT.adjoint, slots)
 

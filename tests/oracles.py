@@ -64,6 +64,137 @@ def synthesis_nd_oracle(coeffs: np.ndarray, boundaries) -> np.ndarray:
     return out
 
 
+# ------------------------------------------------------ node families
+#
+# The per-family definitions `cheblat.dct` once spelled out branch by
+# branch, kept verbatim as references: the single ``theta_j = pi (2j + s) / N``
+# rule must reproduce them bitwise.
+
+
+def contains_plus_one_oracle(boundary: BoundaryType) -> bool:
+    return boundary in (BoundaryType.TYPE_I, BoundaryType.TYPE_V_MINUS)
+
+
+def contains_minus_one_oracle(boundary: BoundaryType) -> bool:
+    return boundary in (BoundaryType.TYPE_I, BoundaryType.TYPE_V_PLUS)
+
+
+def circle_count_oracle(n: int, boundary: BoundaryType) -> int:
+    if boundary is BoundaryType.TYPE_I:
+        return 2 * (n - 1)
+    if boundary is BoundaryType.TYPE_II:
+        return 2 * n
+    return 2 * n - 1
+
+
+def grid_spec_from_circle_oracle(N: int, half_shift: int) -> tuple[int, BoundaryType]:
+    """Node count and family of the grid with ``N`` full-circle points.
+
+    ``half_shift`` selects whether the grid contains ``theta = 0``
+    (``0``) or is offset by half a spacing (``1``).
+    """
+    if N < 1 or half_shift not in (0, 1):
+        raise ValueError(f"invalid grid spec N={N}, half_shift={half_shift}")
+    if N % 2 == 0:
+        if half_shift == 0:
+            return N // 2 + 1, BoundaryType.TYPE_I
+        return N // 2, BoundaryType.TYPE_II
+    if half_shift == 0:
+        return (N + 1) // 2, BoundaryType.TYPE_V_MINUS
+    return (N + 1) // 2, BoundaryType.TYPE_V_PLUS
+
+
+def nodes_1d_oracle(n: int, boundary: BoundaryType) -> np.ndarray:
+    """Node angles of the ``n``-point set of the given family, increasing."""
+    i = np.arange(n)
+    if boundary is BoundaryType.TYPE_I:
+        thetas = np.pi * i / (n - 1)
+    elif boundary is BoundaryType.TYPE_II:
+        thetas = np.pi * (2 * i + 1) / (2 * n)
+    elif boundary is BoundaryType.TYPE_V_MINUS:
+        thetas = np.pi * (2 * i) / (2 * n - 1)
+    else:
+        thetas = np.pi * (2 * i + 1) / (2 * n - 1)
+    return thetas
+
+
+def analysis_prefactor_oracle(n: int, boundary: BoundaryType) -> np.ndarray:
+    """Diagonal factor ``a_k`` of the analysis transform.
+
+    ``c_k = a_k * sum_i w_i f_i cos(k theta_i)`` with ``w_i = 1/2`` at
+    ``theta in {0, pi}`` and 1 elsewhere.
+    """
+    a = np.empty(n)
+    if boundary is BoundaryType.TYPE_I:
+        a[:] = 2.0 / (n - 1)
+        a[0] = 1.0 / (n - 1)
+        a[-1] = 1.0 / (n - 1)  # top mode pairs with itself on the circle
+    elif boundary is BoundaryType.TYPE_II:
+        a[:] = 2.0 / n
+        a[0] = 1.0 / n
+    else:
+        N = 2 * n - 1
+        a[:] = 4.0 / N
+        a[0] = 2.0 / N
+    return a
+
+
+def node_weights_oracle(n: int, boundary: BoundaryType) -> np.ndarray:
+    """Trapezoidal node weights ``w_i`` (1/2 at ``theta in {0, pi}``)."""
+    w = np.ones(n)
+    if boundary is BoundaryType.TYPE_I:
+        w[0] = 0.5
+        w[-1] = 0.5
+    elif boundary is BoundaryType.TYPE_V_MINUS:
+        w[0] = 0.5
+    elif boundary is BoundaryType.TYPE_V_PLUS:
+        w[-1] = 0.5
+    return w
+
+
+def halving_oracle(n: int, boundary: BoundaryType) -> np.ndarray:
+    """Synthesis factor ``h``: 1/2 on every mode that appears twice on the circle.
+
+    The analysis is ``a/2`` times the unscaled forward transform (DCT-I,
+    DCT-II or the type V FFT), the synthesis is the unscaled backward
+    transform (DCT-I, DCT-III or the inverse type V FFT) of ``h * c``, and
+    the adjoint is ``w`` times the unscaled synthesis of ``a * h * u``, with
+    ``a`` = `analysis_prefactor` and ``w`` = `node_weights`.
+    """
+    half = np.full(n, 0.5)
+    half[0] = 1.0
+    if boundary is BoundaryType.TYPE_I:
+        half[-1] = 1.0
+    return half
+
+
+def reflect_index_oracle(n: int, boundary: BoundaryType) -> np.ndarray:
+    """Index map unfolding samples to the full circle (type V only)."""
+    if boundary is BoundaryType.TYPE_V_MINUS:
+        # angles 2*pi*j/N for j = 0..N-1; j >= n mirrors index N - j
+        return np.concatenate([np.arange(n), np.arange(n - 1, 0, -1)])
+    # V+: angles 2*pi*(j + 1/2)/N; j >= n mirrors index N - 1 - j
+    return np.concatenate([np.arange(n), np.arange(n - 2, -1, -1)])
+
+
+def cosine_matrix_oracle(n: int, boundary: BoundaryType) -> np.ndarray:
+    """``C[k, j] = cos(k theta_j)``, with the angle reduced exactly mod ``2 pi``.
+
+    ``theta_j = pi p_j / q`` for integers ``p_j, q``, so ``k theta_j`` is
+    reduced as the integer ``k p_j mod 2q`` before the cosine is taken.
+    """
+    j = np.arange(n)
+    if boundary is BoundaryType.TYPE_I:
+        p, q = 2 * j, 2 * (n - 1)
+    elif boundary is BoundaryType.TYPE_II:
+        p, q = 2 * j + 1, 2 * n
+    elif boundary is BoundaryType.TYPE_V_MINUS:
+        p, q = 2 * j, 2 * n - 1
+    else:
+        p, q = 2 * j + 1, 2 * n - 1
+    return np.cos(np.pi * (np.outer(j, p) % (2 * q)) / q)
+
+
 def vandermonde(lattice) -> np.ndarray:
     """Dense collocation matrix V[i, j] = basis_j(point_i) by direct cosines."""
     thetas = np.arccos(np.clip(lattice.points, -1.0, 1.0))
@@ -263,7 +394,8 @@ def buckets_oracle(lattice, basis, components):
     Groups are keyed by their response bytes; each distinct response is
     inverted once, and a bucket gathers the slots and entries of every
     group that has it.  Returns ``(class_key, members, M, V, slots,
-    entries)`` per bucket, in the order of the buckets' first groups.
+    entries)`` per bucket, in the order of the buckets' first groups, with
+    ``V`` the integer response.
     """
     base = lattice._slot_base
     table: dict = {}
@@ -271,7 +403,7 @@ def buckets_oracle(lattice, basis, components):
         V = comp.response
         key = (V.shape, V.tobytes())
         if key not in table:
-            table[key] = (comp, np.linalg.inv(V), V.astype(float), [], [])
+            table[key] = (comp, np.linalg.inv(V), V, [], [])
         table[key][3].append([base[si] + fi for si, fi in comp.slots])
         table[key][4].append(comp.entry_ids)
     return [(first.key, tuple(basis[i].members for i in first.entry_ids), M, V,
@@ -281,32 +413,32 @@ def buckets_oracle(lattice, basis, components):
 
 # ------------------------------------------------------ bucket loops
 #
-# forward, inverse and adjoint with the bucket stage as the per-bucket
+# forward, inverse and adjoint with the aliasing stage as the per-block
 # gather/scatter loops the plan's slot and entry permutations replaced; the
-# per-sublattice DCT stage is the plan's own.
+# per-sublattice DCT stage and the matrices ``M = V^{-1}`` are the plan's own.
 
 
 def forward_bucket_oracle(plan, samples) -> np.ndarray:
     slots = plan._per_grid(GridDCT.forward, np.asarray(samples, dtype=float))
     out = np.empty(len(plan.lattice.basis))
-    for b in plan.buckets:
-        out[b.entries] = b.M @ slots[b.slots]
+    for b, M in zip(plan.lattice.blocks, plan.aliasing_matrices()):
+        out[b.entries] = M @ slots[b.slots]
     return out
 
 
 def inverse_bucket_oracle(plan, coeffs) -> np.ndarray:
     coeffs = np.asarray(coeffs, dtype=float)
     slots = np.empty(plan.lattice.npoints)
-    for b in plan.buckets:
-        slots[b.slots] = b.V @ coeffs[b.entries]
+    for b in plan.lattice.blocks:
+        slots[b.slots] = b.V.astype(float) @ coeffs[b.entries]
     return plan._per_grid(GridDCT.inverse, slots)
 
 
 def adjoint_bucket_oracle(plan, functional) -> np.ndarray:
     functional = np.asarray(functional, dtype=float)
     slots = np.zeros(plan.lattice.npoints)
-    for b in plan.buckets:
-        slots[b.slots] = b.M.T @ functional[b.entries]
+    for b, M in zip(plan.lattice.blocks, plan.aliasing_matrices()):
+        slots[b.slots] = M.T @ functional[b.entries]
     return plan._per_grid(GridDCT.adjoint, slots)
 
 

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from cheblat import bench, lattice as lat
+from cheblat import bench, calculus as calc, lattice as lat
 
 
 # -------------------------------------------------------------- rotations
@@ -205,9 +205,10 @@ def test_csv_header_exact():
 
 
 def test_reference_integral_convergence_guard():
-    # a function the reference rule cannot settle raises instead of lying
+    # a function the reference rules cannot settle within their node budget
+    # raises, naming the last two orders, instead of lying
     f = lambda X: np.sign(X[:, 0] - 0.123)
-    with pytest.raises(bench.BenchError):
+    with pytest.raises(bench.BenchError, match=r"orders 500, 508: "):
         bench.reference_integral(f, 2, 4)
 
 
@@ -240,3 +241,22 @@ def test_svg_chart_smoke():
     chart = bench.svg_line_chart({"a": (x, np.array([1e-1, 1e-3, 1e-6]))}, title="t")
     assert chart.startswith("<svg") and chart.endswith("</svg>")
     assert "polyline" in chart
+
+
+def test_reference_integral_steps_up_until_two_rules_agree():
+    # esssing needs about order 40 in 2d; a single check from order 14 fails
+    f = bench.TestFunction("esssing", np.array([0.3, 0.15]), np.eye(2))
+    ref = bench.reference_integral(f, 2, 14)
+    nodes, w = calc.gauss_legendre(96, 2)
+    assert abs(ref - float(w @ f(nodes))) <= 1e-9 * abs(ref)
+    # an integrand the rules already settle returns the second rule, as a single check did
+    g = bench.TestFunction("gaussian", np.array([0.3, 0.15]), np.eye(2))
+    nodes, w = calc.gauss_legendre(30 + 8, 2)
+    assert bench.reference_integral(g, 2, 30) == float(w @ g(nodes))
+
+
+def test_sample_budget_and_probe_count_must_be_positive():
+    with pytest.raises(bench.BenchError, match="sample_budget must be >= 1, got 0"):
+        _config(sample_budget=0)
+    with pytest.raises(bench.BenchError, match="got 0"):
+        bench.lebesgue_estimate(lat.build("hex", 2, 1), probe_per_axis=0)

@@ -173,6 +173,20 @@ def test_evaluate_rejects_non_finite(bad):
         calc.evaluate(interp, np.array([[0.1, 0.2], [0.0, bad]]))
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_interpolant_and_integrate_reject_non_finite(bad):
+    # a NaN coefficient would make every evaluation NaN, an Inf sample the integral Inf
+    L, P = make("padua", 2, 3)
+    coeffs = np.ones(len(L.basis))
+    coeffs[1] = bad
+    with pytest.raises(calc.CalculusError, match="coefficients contain NaN or Inf"):
+        calc.Interpolant(L, coeffs)
+    samples = np.ones(L.npoints)
+    samples[-1] = bad
+    with pytest.raises(calc.CalculusError, match="samples contain NaN or Inf"):
+        calc.integrate(calc.quadrature_stencil(P), samples)
+
+
 def test_evaluate_rejects_bad_shape():
     L, P = make("bcc", 3, 3)
     interp = calc.interpolate(P, np.ones(L.npoints))

@@ -225,3 +225,40 @@ def test_main_callable_directly(tmp_path):
     assert main(["info", "--family", "hex", "--dim", "2", "--resolution", "1",
                  "--out", str(tmp_path / "info.txt")]) == 0
     assert (tmp_path / "info.txt").exists()
+
+
+@pytest.mark.parametrize("argv,code,named", [
+    # a malformed number is a usage error, named as argparse names a bad --dim
+    (["eval", "--family", "padua", "--dim", "2", "--resolution", "3", "--coeffs", "c.csv",
+      "--at", "abc"], 2, "'abc'"),
+    (["bench-interp", "--families", "hex", "--dim", "2", "--resolutions", "4,x"], 2, "'4,x'"),
+    # out-of-range values are rejected by the library, as domain errors
+    (["bench-interp", "--families", "hex", "--dim", "2", "--resolutions", "1",
+      "--trials", "1", "--budget", "0"], 1, "got 0"),
+    (["lebesgue", "--family", "hex", "--dim", "2", "--resolution", "1",
+      "--probe-density", "-1"], 1, "got -1"),
+    (["lebesgue", "--family", "hex", "--dim", "2", "--resolution", "1",
+      "--probe-density", "0"], 1, "got 0"),
+])
+def test_bad_numeric_input_is_an_error_naming_the_value(tmp_path, capsys, argv, code, named):
+    L = lat.build("padua", 2, 3)
+    (tmp_path / "c.csv").write_text(tf.coefficients_to_csv(L, np.ones(len(L.basis))))
+    argv = [str(tmp_path / a) if a == "c.csv" else a for a in argv]
+    if code == 2:
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        rc = exc.value.code
+    else:
+        rc = main(argv)
+    out, err = capsys.readouterr()
+    assert (rc, out) == (code, "")
+    assert named in err and "Traceback" not in err
+
+
+def test_bench_quad_esssing_reference_converges(capsys):
+    # the reference order steps up past the sweep's starting order (14 here)
+    rc = main(["bench-quad", "--families", "cartesian", "--dim", "2", "--resolutions", "3",
+               "--trials", "1", "--function", "esssing"])
+    out, err = capsys.readouterr()
+    assert (rc, err) == (0, "")
+    assert len(out.splitlines()) == 2

@@ -17,6 +17,7 @@ from cheblat.dct import (
     idct_typeV,
     nodes_1d,
 )
+import oracles
 from oracles import dct_nd_oracle, dct_oracle, synthesis_nd_oracle, synthesis_oracle
 
 ALL_TYPES = list(BoundaryType)
@@ -89,6 +90,43 @@ def test_grid_spec_roundtrip(boundary, n):
     N = circle_count(n, boundary)
     shift = 0 if boundary in (BoundaryType.TYPE_I, BoundaryType.TYPE_V_MINUS) else 1
     assert grid_spec_from_circle(N, shift) == (n, boundary)
+
+
+def _same(got, ref):
+    """Equal value, type and, for arrays, dtype, shape and bytes (so sign bits too)."""
+    if isinstance(ref, np.ndarray):
+        return got.dtype == ref.dtype and got.shape == ref.shape and got.tobytes() == ref.tobytes()
+    return type(got) is type(ref) and got == ref
+
+
+@pytest.mark.parametrize("boundary", ALL_TYPES)
+def test_family_helpers_match_per_family_definitions(boundary):
+    # one theta_j = pi (2j + s) / N rule against the branch-per-family
+    # definitions it replaced, over every valid node count below 300
+    assert boundary.contains_plus_one == oracles.contains_plus_one_oracle(boundary)
+    assert boundary.contains_minus_one == oracles.contains_minus_one_oracle(boundary)
+    pairs = [(lambda n, b: nodes_1d(n, b).thetas, oracles.nodes_1d_oracle),
+             (circle_count, oracles.circle_count_oracle),
+             (dct.analysis_prefactor, oracles.analysis_prefactor_oracle),
+             (dct.node_weights, oracles.node_weights_oracle),
+             (dct._halving, oracles.halving_oracle),
+             (dct._cosine_matrix, oracles.cosine_matrix_oracle)]
+    if boundary in V_TYPES:
+        pairs.append((dct._reflect_index, oracles.reflect_index_oracle))
+    for n in range(min_n(boundary), 300):
+        for fast, ref in pairs:
+            assert _same(fast(n, boundary), ref(n, boundary)), (fast, n)
+
+
+def test_grid_spec_matches_per_family_definition():
+    for N in range(1, 300):
+        for s in (0, 1):
+            got, ref = grid_spec_from_circle(N, s), oracles.grid_spec_from_circle_oracle(N, s)
+            assert got == ref and type(got[0]) is type(ref[0]), (N, s)
+            assert got[1].shift == s
+    for N, s in ((0, 0), (5, 2), (4, -1)):
+        with pytest.raises(ValueError, match="invalid grid spec"):
+            grid_spec_from_circle(N, s)
 
 
 # ---------------------------------------------------------------- 1d dct

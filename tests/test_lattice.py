@@ -546,3 +546,11 @@ def test_descriptor_float_format():
     text = lat.lattice_descriptor(L)
     # cos(pi/3) = 0.5 exactly; cos(pi/2) = 6.1e-17 printed with 17 digits
     assert "6.123233995736766e-17" in text
+
+
+def test_points_thetas_and_slot_base_are_read_only():
+    # the plan and every transform read these arrays; nothing may write them
+    L = lat.build("bcc", 3, 3)
+    for a in (L.points, L.point_thetas, L._slot_base):
+        with pytest.raises(ValueError):
+            a[0] = 0

@@ -23,6 +23,11 @@ def all_lattices():
             yield lat.build(family, dim, res)
 
 
+def first_members(L, block):
+    """The members of each entry of a block's first group, read through ``L.basis``."""
+    return tuple(L.basis[i].members for i in block.entries[:, 0].tolist())
+
+
 # ------------------------------------------------------------------- plan
 
 
@@ -30,45 +35,47 @@ def test_cartesian_plan_single_identity_matrix():
     L = lat.build("cartesian", 2, 4)
     P = tf.plan(L)
     mats = P.aliasing_matrices()
-    assert len(mats) == 1
-    assert np.array_equal(mats[0].M, np.eye(1))
+    assert len(mats) == len(L.blocks) == 1
+    assert np.array_equal(mats[0], np.eye(1))
 
 
 def test_aliasing_matrices_are_read_only():
     # aliasing_matrices() hands out the plan's own matrices, so a write
-    # must fail instead of corrupting later transforms
+    # must fail instead of corrupting later transforms; so must a write to
+    # any matrix the plan applies
     P = tf.plan(lat.build("bcc", 3, 4))
-    for A in P.aliasing_matrices():
+    for M in P.aliasing_matrices():
         with pytest.raises(ValueError):
-            A.M[0, 0] = 2.0
-    for b in P.buckets:
-        with pytest.raises(ValueError):
-            b.V[0, 0] = 2.0
+            M[0, 0] = 2.0
+    for _, _, matrices in P._stages:
+        for A in matrices:
+            with pytest.raises(ValueError):
+                A[0, 0] = 2.0
 
 
 def test_padua_bcc_matrices_half_entries():
     for family, dim in (("padua", 2), ("bcc", 3)):
         L = lat.build(family, dim, 4)
         P = tf.plan(L)
-        twos = [A for A in P.aliasing_matrices() if A.M.shape == (2, 2)]
+        twos = [(b, M) for b, M in zip(L.blocks, P.aliasing_matrices()) if M.shape == (2, 2)]
         assert twos, family
         untied = [
-            A for A in twos if all(len(m) == 1 for m in A.members)
+            M for b, M in twos if all(len(m) == 1 for m in first_members(L, b))
         ]
-        for A in untied:
-            assert np.allclose(np.abs(A.M), 0.5), (family, A.M)
+        for M in untied:
+            assert np.allclose(np.abs(M), 0.5), (family, M)
 
 
 def test_bravais_scaled_matrices_are_orthogonal_sign_matrices():
     for family, dim in (("padua", 2), ("hex", 2), ("bcc", 3), ("fcc", 3)):
         L = lat.build(family, dim, 4)
         P = tf.plan(L)
-        for A in P.aliasing_matrices():
-            m = A.M.shape[0]
-            if m == 1 or any(len(mem) > 1 for mem in A.members):
+        for b, M in zip(L.blocks, P.aliasing_matrices()):
+            m = M.shape[0]
+            if m == 1 or any(len(mem) > 1 for mem in first_members(L, b)):
                 continue
-            S = m * A.M
-            assert np.allclose(np.abs(S), 1.0, atol=1e-9), (family, A.M)
+            S = m * M
+            assert np.allclose(np.abs(S), 1.0, atol=1e-9), (family, M)
             Sr = np.round(S)
             assert np.array_equal(Sr @ Sr.T, m * np.eye(m, dtype=int)), (family, S)
 
@@ -115,15 +122,19 @@ def test_singular_aliasing_block_fails_build(monkeypatch):
 ])
 def test_plan_buckets_match_per_group_loop(family, dim, res):
     # the buckets the plan once built group by group from the search
-    # oracle's components, against the plan's: every field, bit for bit
+    # oracle's components, against the lattice's blocks and the matrices
+    # the plan applies: every field, bit for bit
     L = lat.build(family, dim, res)
     basis, _, components = basis_oracle(L)
-    got = tf.plan(L).aliasing_matrices()
+    P = tf.plan(L)
     ref = buckets_oracle(L, basis, components)
-    assert len(got) == len(ref)
-    for b, (class_key, members, M, V, slots, entries) in zip(got, ref):
-        assert (b.class_key, b.members) == (class_key, members)
-        for a, r in ((b.M, M), (b.V, V), (b.slots, slots), (b.entries, entries)):
+    assert len(L.blocks) == len(P.aliasing_matrices()) == len(P._stages) == len(ref)
+    for block, M, (_, _, (M_applied, V_float, _)), (class_key, members, M_ref, V, slots, entries) \
+            in zip(L.blocks, P.aliasing_matrices(), P._stages, ref):
+        assert (tuple(block.keys[0].tolist()), first_members(L, block)) == (class_key, members)
+        assert M is M_applied
+        for a, r in ((M, M_ref), (block.V, V), (V_float, V.astype(float)), (block.slots, slots),
+                     (block.entries, entries)):
             assert a.dtype == r.dtype and a.shape == r.shape and a.tobytes() == r.tobytes()
 
 
