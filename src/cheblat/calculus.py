@@ -2,8 +2,8 @@
 
 Interpolants are coefficient vectors over a lattice's basis.  Evaluation
 sums the series by tensor sum factorization over per-axis Chebyshev
-tables built with the three-term recurrence, in chunks of points of a
-fixed size, so its working memory does not grow with the point count;
+tables built with the three-term recurrence, in cache-sized chunks of
+points, so its working memory does not grow with the point count;
 ``ChebyshevLattice.basis_matrix`` stays the dense reference.
 Differentiation runs the first-kind coefficient recurrence along
 per-axis chains of the (non-rectangular) index set; integration applies
@@ -13,6 +13,7 @@ stencil that integrates every basis polynomial exactly.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -27,16 +28,26 @@ class CalculusError(ValueError):
     pass
 
 
-@dataclass
+def _frozen_vector(values, n: int, what: str) -> np.ndarray:
+    """A private read-only copy of ``values``, checked by `_check_vector`."""
+    values = _check_vector(values, n, what, CalculusError).copy()
+    values.flags.writeable = False
+    return values
+
+
+@dataclass(frozen=True, eq=False)
 class Interpolant:
-    """A polynomial in the lattice basis: ``p = sum_k coeffs_k Phi_k``."""
+    """A polynomial in the lattice basis: ``p = sum_k coeffs_k Phi_k``.
+
+    Immutable: ``coeffs`` is a read-only copy of the given values.
+    """
 
     lattice: ChebyshevLattice
     coeffs: np.ndarray
 
     def __post_init__(self):
-        self.coeffs = _check_vector(self.coeffs, len(self.lattice.basis), "coefficients",
-                                    CalculusError)
+        object.__setattr__(self, "coeffs",
+                           _frozen_vector(self.coeffs, len(self.lattice.basis), "coefficients"))
 
     def __call__(self, x):
         return evaluate(self, x)
@@ -47,19 +58,29 @@ def interpolate(plan: TransformPlan, samples) -> Interpolant:
     return Interpolant(plan.lattice, forward(plan, samples))
 
 
-# Evaluation chunk budget in floats (8 MB).  The chunk's row count is set so
-# that the (prefix x points) accumulator, the gathered prefix table and the
-# stacked per-axis tables each stay within it.
-_CHUNK_ELEMENTS = 1 << 20
+def _chunk_points(nprefix: int, kmax: np.ndarray) -> int:
+    """Points per `evaluate` chunk for ``nprefix`` prefixes and per-axis top degrees ``kmax``.
+
+    The (prefix x points) accumulator, a gathered prefix table and the
+    stacked Chebyshev tables each hold at most 2^16 floats (512 KB) where a
+    floor of 1024 points allows, so the arrays the inner loop streams
+    together fit in a 2 MB per-core L2 cache, and the allocator can serve
+    them from its heap rather than map and page-fault them afresh on every
+    call.  The floor spreads each chunk's fixed cost, one recurrence step
+    per degree, on lattices with many prefixes.
+    """
+    return max(1024, (1 << 16) // max(nprefix, (int(kmax.max()) + 1) * len(kmax)))
 
 
-def _chebyshev_table(x: np.ndarray, kmax: int) -> np.ndarray:
-    """Rows ``T_0(x), ..., T_kmax(x)``, shape (kmax + 1, len(x)).
+def _chebyshev_tables(x: np.ndarray, kmax: int) -> np.ndarray:
+    """``T_0, ..., T_kmax`` at each coordinate of the (npts, dim) points ``x``,
+    shape (kmax + 1, dim, npts), all axes in one recurrence.
 
     Built by the three-term recurrence ``T_{k+1} = 2x T_k - T_{k-1}``
     (Clenshaw 1955), which is stable on [-1, 1].
     """
-    table = np.empty((kmax + 1, x.size))
+    x = np.ascontiguousarray(x.T)
+    table = np.empty((kmax + 1,) + x.shape)
     table[0] = 1.0
     if kmax:
         table[1] = x
@@ -80,7 +101,8 @@ def evaluate(interp: Interpolant, x) -> float | np.ndarray:
     contracts that axis; each prefix row is then scaled by the other
     axes' tables and the rows are summed.  Tie entries contribute every
     member with the entry's coefficient, as in ``basis_matrix``.  The
-    chunk size keeps working memory independent of the point count.
+    chunk size (`_chunk_points`) keeps working memory cache-sized and
+    independent of the point count.
     """
     lattice = interp.lattice
     x = np.asarray(x, dtype=float)
@@ -109,12 +131,12 @@ def evaluate(interp: Interpolant, x) -> float | np.ndarray:
     ).reshape(len(prefixes), width)
 
     vals = np.empty(len(pts))
-    step = max(1, _CHUNK_ELEMENTS // max(len(prefixes), int(kmax.sum()) + lattice.dim))
+    step = _chunk_points(len(prefixes), kmax)
     for lo in range(0, len(pts), step):
-        chunk = pts[lo : lo + step]
-        acc = coeffs @ _chebyshev_table(chunk[:, -1], int(kmax[-1]))
+        tables = _chebyshev_tables(pts[lo : lo + step], int(kmax.max()))
+        acc = coeffs @ tables[:width, -1]
         for axis in range(lattice.dim - 1):
-            acc *= _chebyshev_table(chunk[:, axis], int(kmax[axis]))[prefixes[:, axis]]
+            acc *= tables[prefixes[:, axis], axis]
         vals[lo : lo + step] = acc.sum(axis=0)
     return float(vals[0]) if single else vals
 
@@ -181,12 +203,19 @@ def basis_integrals(lattice: ChebyshevLattice) -> np.ndarray:
     return np.bincount(owners, weights=v, minlength=len(lattice.basis))
 
 
-@dataclass
+@dataclass(frozen=True, eq=False)
 class QuadratureStencil:
-    """Per-node weights integrating the lattice's basis exactly."""
+    """Per-node weights integrating the lattice's basis exactly.
+
+    Immutable: ``weights`` is a read-only copy of the given values.
+    """
 
     lattice: ChebyshevLattice
     weights: np.ndarray
+
+    def __post_init__(self):
+        object.__setattr__(self, "weights",
+                           _frozen_vector(self.weights, self.lattice.npoints, "weights"))
 
 
 def quadrature_stencil(plan: TransformPlan) -> QuadratureStencil:
@@ -210,13 +239,8 @@ def gauss_legendre(n: int, d: int) -> tuple[np.ndarray, np.ndarray]:
     if n < 1:
         raise CalculusError("rule order must be >= 1")
     x, w = np.polynomial.legendre.leggauss(n)
-    grids = np.meshgrid(*([x] * d), indexing="ij")
-    nodes = np.column_stack([g.ravel() for g in grids])
-    wgrids = np.meshgrid(*([w] * d), indexing="ij")
-    weights = np.ones(n**d)
-    for g in wgrids:
-        weights = weights * g.ravel()
-    return nodes, weights
+    nodes = np.stack(np.meshgrid(*([x] * d), indexing="ij", copy=False), axis=-1).reshape(-1, d)
+    return nodes, functools.reduce(np.multiply.outer, [w] * d).ravel()
 
 
 def stencil_to_csv(stencil: QuadratureStencil) -> str:

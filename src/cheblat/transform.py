@@ -92,10 +92,12 @@ def plan(lattice: ChebyshevLattice) -> TransformPlan:
     return TransformPlan(lattice)
 
 
-def _check_vector(values, n: int, what: str, error: type = TransformError) -> np.ndarray:
-    """``values`` as a float vector of ``n`` finite ``what``, else ``error``."""
+def _check_vector(values, n: int, what: str, error: type = TransformError,
+                  batch: bool = False) -> np.ndarray:
+    """``values`` as a float vector of ``n`` finite ``what`` (with ``batch``,
+    also a ``(B, n)`` stack of such vectors), else ``error``."""
     values = np.asarray(values, dtype=float)
-    if values.shape != (n,):
+    if values.shape[-1:] != (n,) or values.ndim > 1 + batch:
         raise error(f"expected {n} {what}, got shape {values.shape}")
     if not np.all(np.isfinite(values)):
         raise error(f"{what} contain NaN or Inf")
@@ -148,17 +150,14 @@ def forward_padua(plan: TransformPlan, samples) -> np.ndarray:
 def dense_oracle(lattice: ChebyshevLattice, samples) -> np.ndarray:
     """Coefficients by dense collocation solve (slow reference path).
 
-    Guarded to <= 2000 points.  Shares no machinery with `forward`: the
-    Vandermonde matrix is built by direct cosine evaluation and factored
-    densely.
+    ``samples`` is one vector or a ``(B, npoints)`` batch; the matrix is
+    built, checked and factored once per call.  Guarded to <= 2000 points.
+    Shares no machinery with `forward`: the Vandermonde matrix is built by
+    direct cosine evaluation and factored densely.
     """
     if lattice.npoints > 2000:
         raise TransformError("dense oracle limited to 2000 points")
-    samples = np.asarray(samples, dtype=float)
-    if samples.shape != (lattice.npoints,):
-        raise TransformError(
-            f"expected {lattice.npoints} samples, got shape {samples.shape}"
-        )
+    samples = _check_vector(samples, lattice.npoints, "samples", batch=True)
     V = lattice.basis_matrix(lattice.point_thetas)
     cond = np.linalg.cond(V)
     if not np.isfinite(cond) or cond > 1e12:
@@ -166,7 +165,7 @@ def dense_oracle(lattice: ChebyshevLattice, samples) -> np.ndarray:
             f"collocation matrix numerically singular (cond={cond:.3e}); "
             "lattice is not unisolvent"
         )
-    return np.linalg.solve(V, samples)
+    return np.linalg.solve(V, samples.T).T
 
 
 def dense_condition(lattice: ChebyshevLattice) -> float:

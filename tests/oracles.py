@@ -462,6 +462,19 @@ def basis_integrals_oracle(lattice) -> np.ndarray:
     return out
 
 
+def gauss_legendre_oracle(n: int, d: int) -> tuple[np.ndarray, np.ndarray]:
+    """Tensor Gauss-Legendre nodes from d separate meshgrids and weights as a
+    running product of the raveled weight grids, starting from ones."""
+    x, w = np.polynomial.legendre.leggauss(n)
+    grids = np.meshgrid(*([x] * d), indexing="ij")
+    nodes = np.column_stack([g.ravel() for g in grids])
+    wgrids = np.meshgrid(*([w] * d), indexing="ij")
+    weights = np.ones(n**d)
+    for g in wgrids:
+        weights = weights * g.ravel()
+    return nodes, weights
+
+
 def boundary_degree_oracle(lattice, axis: int = -1) -> int:
     """Largest k with every face frequency 0..k in the projected basis."""
     axis = axis % lattice.dim

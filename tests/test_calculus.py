@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from cheblat import calculus as calc, lattice as lat, transform as tf
-from oracles import basis_integrals_oracle, differentiate_oracle
+from oracles import basis_integrals_oracle, differentiate_oracle, gauss_legendre_oracle
 
 # every family, ties included, and the cli-oneshot bcc lattice
 LOOP_PARITY = [("cartesian", 1, 9), ("cartesian", 2, 5), ("cartesian", 3, 4), ("padua", 2, 8),
@@ -208,6 +208,77 @@ def test_evaluate_memory_bounded():
         tracemalloc.stop()
     assert vals.shape == (100_000,) and np.all(np.isfinite(vals))
     assert peak < 64 * 2**20
+
+
+@pytest.mark.parametrize("family,dim,res", [("bcc", 3, 8), ("fcc", 3, 8), ("cartesian", 3, 8),
+                                             ("padua", 2, 64), ("hex", 2, 16)])
+def test_evaluate_across_chunk_boundaries(family, dim, res):
+    L = built(family, dim, res)
+    members, _ = L.basis_member_matrix()
+    nprefix = len(np.unique(members[:, :-1], axis=0))
+    step = calc._chunk_points(nprefix, members.max(axis=0))
+    assert step == 1024 or 1024 < step <= 2**16 // nprefix
+    rng = np.random.default_rng(11)
+    c = rng.standard_normal(len(L.basis))
+    interp = calc.Interpolant(L, c)
+    X = rng.uniform(-1, 1, (20_000, dim))
+    # one chunk less one point, exactly one chunk, and one point into a second
+    ref = L.basis_matrix(np.arccos(X[: step + 1])) @ c
+    tol = 1e-13 * np.max(np.abs(ref))
+    for n in (step - 1, step, step + 1):
+        assert np.max(np.abs(calc.evaluate(interp, X[:n]) - ref[:n])) <= tol, n
+    # at 20 000 points: every row within two of a chunk boundary, and every 16th
+    edges = np.arange(step, len(X), step)[:, None] + np.arange(-2, 2)
+    rows = np.union1d(edges.ravel(), np.arange(0, len(X), 16))
+    ref = L.basis_matrix(np.arccos(X[rows])) @ c
+    vals = calc.evaluate(interp, X)
+    assert np.max(np.abs(vals[rows] - ref)) <= 1e-13 * np.max(np.abs(ref))
+
+
+def test_evaluate_working_memory_is_cache_sized():
+    # the sweep workload's case; chunk arrays of 8 MB would peak at 15.7 MB
+    L = built("bcc", 3, 8)
+    interp = calc.Interpolant(L, np.random.default_rng(12).standard_normal(len(L.basis)))
+    X = np.random.default_rng(13).uniform(-1, 1, (20_000, 3))
+    tracemalloc.start()
+    try:
+        calc.evaluate(interp, X)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * 2**20
+
+
+def test_interpolant_and_stencil_are_immutable():
+    # writes after construction would bypass the finiteness checks: a NaN
+    # coefficient would make evaluate NaN, an Inf weight integrate Inf
+    L, P = make("padua", 2, 3)
+    coeffs = np.ones(len(L.basis))
+    interp = calc.Interpolant(L, coeffs)
+    coeffs[0] = np.nan  # the interpolant holds its own copy
+    x = np.array([0.3, -0.2])
+    expect = calc.evaluate(calc.Interpolant(L, np.ones(len(L.basis))), x)
+    assert calc.evaluate(interp, x) == expect
+    stencil = calc.quadrature_stencil(P)
+    weights = np.array(stencil.weights)
+    with pytest.raises(ValueError, match="read-only"):
+        interp.coeffs[0] = np.nan
+    with pytest.raises(ValueError, match="read-only"):
+        stencil.weights[0] = np.inf
+    with pytest.raises(AttributeError):
+        interp.coeffs = np.zeros(len(L.basis))
+    with pytest.raises(AttributeError):
+        stencil.weights = np.zeros(L.npoints)
+    assert calc.evaluate(interp, x) == expect
+    assert calc.integrate(stencil, np.ones(L.npoints)) == float(weights @ np.ones(L.npoints))
+    mine = weights.copy()
+    held = calc.QuadratureStencil(L, mine)
+    mine[0] = np.inf
+    assert np.isfinite(held.weights).all() and not held.weights.flags.writeable
+    with pytest.raises(calc.CalculusError, match="weights contain NaN or Inf"):
+        calc.QuadratureStencil(L, mine)
+    with pytest.raises(calc.CalculusError, match="expected"):
+        calc.QuadratureStencil(L, weights[1:])
 
 
 def test_evaluate_and_differentiate_write_no_attributes():
@@ -456,6 +527,14 @@ def test_gl_tensor_2d():
     # exact for x^2 y^4
     val = float(w @ (nodes[:, 0] ** 2 * nodes[:, 1] ** 4))
     assert abs(val - (2 / 3) * (2 / 5)) < 1e-13
+
+
+@pytest.mark.parametrize("n,d", [(8, 3), (27, 3), (35, 3), (40, 2), (5, 1)])
+def test_gl_matches_separate_grids_bitwise(n, d):
+    nodes, w = calc.gauss_legendre(n, d)
+    ref_nodes, ref_w = gauss_legendre_oracle(n, d)
+    assert nodes.shape == ref_nodes.shape and w.shape == ref_w.shape
+    assert nodes.tobytes() == ref_nodes.tobytes() and w.tobytes() == ref_w.tobytes()
 
 
 def test_gl_validation():

@@ -245,6 +245,11 @@ def test_forward_validates_input():
         tf.forward(P, bad)
     with pytest.raises(tf.TransformError):
         tf.inverse(P, np.ones(len(L.basis) + 2))
+    # one vector only: a (B, n) stack is for dense_oracle
+    with pytest.raises(tf.TransformError, match="expected"):
+        tf.forward(P, np.ones((2, L.npoints)))
+    with pytest.raises(tf.TransformError, match="expected"):
+        tf.adjoint(P, np.ones((1, len(L.basis))))
 
 
 def test_inverse_and_adjoint_reject_nonfinite_coefficients():
@@ -403,6 +408,35 @@ def test_dense_oracle_guard():
     L = lat.build("cartesian", 2, 50)  # 2500 points
     with pytest.raises(tf.TransformError):
         tf.dense_oracle(L, np.ones(L.npoints))
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_dense_oracle_rejects_non_finite_and_bad_shape(bad):
+    # a NaN sample would make every dense coefficient NaN, with no error
+    L = lat.build("padua", 2, 3)
+    s = np.ones(L.npoints)
+    s[2] = bad
+    with pytest.raises(tf.TransformError, match="samples contain NaN or Inf"):
+        tf.dense_oracle(L, s)
+    with pytest.raises(tf.TransformError, match="samples contain NaN or Inf"):
+        tf.dense_oracle(L, np.stack([np.ones(L.npoints), s]))
+    for shape in [(L.npoints + 1,), (2, L.npoints - 1), (1, 2, L.npoints), ()]:
+        with pytest.raises(tf.TransformError, match="expected"):
+            tf.dense_oracle(L, np.ones(shape))
+
+
+def test_dense_oracle_batch_matches_single_calls():
+    # the batch of 20 draws criterion 2 passes holds the same draws, in the
+    # same order, as 20 single draws
+    L = lat.build("bcc", 3, 4)
+    batch = np.random.default_rng(3).standard_normal((20, L.npoints))
+    rng = np.random.default_rng(3)
+    assert np.array_equal(batch, [rng.standard_normal(L.npoints) for _ in range(20)])
+    dense = tf.dense_oracle(L, batch)
+    assert dense.shape == (20, len(L.basis))
+    for s, d in zip(batch, dense):
+        assert np.max(np.abs(d - tf.dense_oracle(L, s))) <= 1e-13
+    assert tf.dense_oracle(L, batch[:0]).shape == (0, len(L.basis))
 
 
 def test_dense_condition_finite():
