@@ -47,8 +47,10 @@ grid: two vectors share it exactly when they differ by an element of
 ``k``.  Since ``2 M Z^d`` lies in ``L``, replacing a coordinate
 ``k_a > M_a`` by ``2 M_a - k_a`` stays in the class and lowers the norm, so
 every lowest-norm member of every class lies in the box
-``[0, M_1] x ... x [0, M_d]``.  The basis is built from that box alone,
-sorted once by (norm, index) and grouped by class id.
+``[0, M_1] x ... x [0, M_d]``.  The basis is built from that box alone:
+one sort of the box's class keys, with the index in their low bits, groups
+it by class in index order, and a class's least (norm, index) member names
+it.  Boxes are capped at ``2^21`` indices, which bounds a build's memory.
 """
 
 from __future__ import annotations
@@ -56,6 +58,7 @@ from __future__ import annotations
 import enum
 import itertools
 import math
+import numbers
 from collections.abc import Sequence
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -290,10 +293,18 @@ def _composite_oct7_grids(resolution: int) -> list[CartesianSublattice]:
     ]
 
 
-def _group_code(ks: np.ndarray, coarse: np.ndarray) -> np.ndarray:
-    """Mixed-radix code of each row's per-axis fold ``min(k mod c, c - k mod c)``."""
-    r = ks % coarse
-    return np.ravel_multi_index(tuple(np.minimum(r, coarse - r).T), coarse // 2 + 1)
+# A build holds a few arrays over the frequency box ``[0, M_1] x ... x [0, M_d]``
+# at once.  Its tracemalloc peak measured about 55 to 175 bytes per box index
+# over the six families (fcc the most), so at this cap it stays below 400 MB,
+# inside 1 GiB.  The cap also keeps every sort key of the build below 2^63 (see
+# `ChebyshevLattice._class_keys` and `_box_classes`).
+_MAX_BOX = 1 << 21
+
+
+def _box_shape(grids: Sequence[CartesianSublattice]) -> tuple[int, ...]:
+    """The frequency box ``[0, M_1] x ... x [0, M_d]`` as an array shape,
+    ``M_a`` the lcm of the grids' circle counts on axis ``a``."""
+    return tuple(math.lcm(*col) + 1 for col in zip(*(g.circle_counts for g in grids)))
 
 
 def _box_norm2(shape: tuple[int, ...]) -> np.ndarray:
@@ -301,40 +312,84 @@ def _box_norm2(shape: tuple[int, ...]) -> np.ndarray:
     return sum(np.ix_(*[np.arange(n) ** 2 for n in shape])).ravel()
 
 
+def _integer(name: str, value) -> int:
+    """``value`` as a Python int; bools and non-integers raise `LatticeError`."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise LatticeError(f"{name} must be an integer, not {value!r}")
+    return int(value)
+
+
+def _sort_pairs(major: np.ndarray, minor: np.ndarray, radix: int) -> tuple[np.ndarray, np.ndarray]:
+    """The pairs ``(major, minor)`` in sorted order, as two arrays.
+
+    With ``minor`` in ``[0, radix)`` one sort of ``major * radix + minor``
+    does it.  Under the build cap both lie below 2^21, so the key fits.
+    """
+    return np.divmod(np.sort(major * radix + minor), radix)
+
+
+def _mix(x: np.ndarray) -> np.ndarray:
+    """The splitmix64 finalizer: a fixed, well-spread map of uint64 to uint64."""
+    x = (x ^ (x >> np.uint64(30))) * np.uint64(0xBF58476D1CE4E5B9)
+    x = (x ^ (x >> np.uint64(27))) * np.uint64(0x94D049BB133111EB)
+    return x ^ (x >> np.uint64(31))
+
+
 def _blocks(response, slot_order, entry_order, keys, need) -> tuple[AliasingBlock, ...]:
     """The distinct response blocks, numbered by their first group.
 
     ``response`` holds every group's block flattened one after another;
     ``slot_order`` and ``entry_order`` list each group's slots and entries
-    in turn.  Raises `LatticeError` for a singular block.
+    in turn.  Each group gets one 64-bit hash, a wrapping sum of its size
+    and entries times fixed weights, and groups are deduplicated on the
+    hashes.  Every group is then checked entry by entry against the first
+    group of its block, so unequal responses are never merged: a hash
+    collision raises `LatticeError`, as does a singular block.
     """
+    size = need * need
     group_at = np.cumsum(need) - need
-    block_at = np.cumsum(need * need) - need * need
-    found = []  # (first group, groups) per distinct block
-    for n in np.unique(need).tolist():
-        groups = np.flatnonzero(need == n)
-        flat = response[block_at[groups, None] + np.arange(n * n)]
-        _, first, which = np.unique(flat, axis=0, return_index=True, return_inverse=True)
-        which = which.ravel()
-        found += [(groups[f], groups[which == b]) for b, f in enumerate(first.tolist())]
-    blocks = []
-    for first, groups in sorted(found, key=lambda t: t[0]):
-        n = int(need[first])
-        V = response[block_at[first]:block_at[first] + n * n].reshape(n, n)
-        # Responses are integer, so a nonsingular one has |det| >= 1.  A lattice
-        # has at most 21 distinct blocks, each at most 7x7 with entries of
-        # absolute value at most 3 (composite-oct7), so |det| <= (3 sqrt 7)^7
-        # < 2.1e6 (Hadamard) and the LU rounding error stays below 1e-6: the
-        # test below is exact.
-        if abs(np.linalg.det(V)) < 0.5:
-            raise LatticeError(f"aliasing group {tuple(keys[first].tolist())} is singular")
-        at = group_at[groups, None] + np.arange(n)  # (ngroups, n)
-        block = AliasingBlock(V=V, slots=slot_order[at].T, entries=entry_order[at].T,
-                              keys=keys[groups])
-        for a in (block.slots, block.entries, block.keys):
-            a.flags.writeable = False
-        blocks.append(block)
-    return tuple(blocks)
+    block_at = np.cumsum(size) - size
+    within = np.arange(len(response)) - np.repeat(block_at, size)
+    weights = _mix(np.arange(1, size.max() + 2, dtype=np.uint64))  # _mix(0) is 0
+    hashes = weights[0] * need.astype(np.uint64) + np.add.reduceat(
+        weights[within + 1] * response.astype(np.uint64), block_at)
+    _, first, which = np.unique(hashes, return_index=True, return_inverse=True)
+    rep = first[which]  # the first group of each group's block
+    bad = np.flatnonzero(need[rep] != need)
+    if not bad.size:
+        bad = np.flatnonzero(~np.logical_and.reduceat(
+            response == response[np.repeat(block_at[rep], size) + within], block_at))
+    if bad.size:
+        raise LatticeError(f"aliasing groups {tuple(keys[rep[bad[0]]].tolist())} and "
+                           f"{tuple(keys[bad[0]].tolist())} have unequal responses of equal hash")
+    order = np.argsort(first)
+    first, sizes = first[order], need[first[order]]
+    number = np.empty_like(order)
+    number[order] = np.arange(len(order))
+    # Responses are integer, so a nonsingular one has |det| >= 1.  A lattice
+    # has at most 21 distinct blocks, each at most 7x7 with entries of
+    # absolute value at most 3 (composite-oct7), so |det| <= (3 sqrt 7)^7
+    # < 2.1e6 (Hadamard) and the LU rounding error stays below 1e-6: the
+    # test below is exact.  Padding a block with the identity keeps its det.
+    padded = np.tile(np.eye(sizes.max()), (len(first), 1, 1))
+    for V, at, k in zip(padded, block_at[first].tolist(), sizes.tolist()):
+        V[:k, :k] = response[at:at + k * k].reshape(k, k)
+    singular = np.flatnonzero(np.abs(np.linalg.det(padded)) < 0.5)
+    if singular.size:
+        raise LatticeError(f"aliasing group {tuple(keys[first[singular[0]]].tolist())} is singular")
+    _, groups = _sort_pairs(number[which], np.arange(len(need)), len(need))  # block by block
+    n = need[groups]
+    at = np.repeat(group_at[groups] - np.cumsum(n) + n, n) + np.arange(n.sum())
+    slots, entries, keys = slot_order[at], entry_order[at], keys[groups]
+    for a in (slots, entries, keys):
+        a.flags.writeable = False
+    count = np.bincount(number[which])  # groups per block
+    cut = np.cumsum(count * sizes)[:-1]
+    return tuple(AliasingBlock(V=response[at:at + k * k].reshape(k, k), slots=s.reshape(-1, k).T,
+                               entries=e.reshape(-1, k).T, keys=q)
+                 for k, at, s, e, q in zip(sizes.tolist(), block_at[first].tolist(),
+                                           np.split(slots, cut), np.split(entries, cut),
+                                           np.split(keys, np.cumsum(count)[:-1])))
 
 
 class ChebyshevLattice:
@@ -355,6 +410,7 @@ class ChebyshevLattice:
 
     def __init__(self, family: Family, dim: int, resolution: int):
         family = Family(family)
+        dim, resolution = _integer("dim", dim), _integer("resolution", resolution)
         if dim not in _FAMILY_DIMS[family]:
             raise LatticeError(f"family {family.value} does not support dim {dim}")
         if resolution < _MIN_RESOLUTION[family]:
@@ -372,6 +428,13 @@ class ChebyshevLattice:
             self._grids = _composite_oct7_grids(resolution)
         else:
             self._grids = _bravais_grids(self.reciprocal.Q)
+        box = math.prod(_box_shape(self._grids))
+        if box > _MAX_BOX:
+            raise LatticeError(
+                f"{family.value} resolution {resolution} has "
+                f"{sum(g.npoints for g in self._grids)} points and a frequency box of "
+                f"{box} indices, over the build cap of {_MAX_BOX} box indices"
+            )
         self._build_points()
         self._build_basis()
 
@@ -399,96 +462,152 @@ class ChebyshevLattice:
 
     # ------------------------------------------------------------- basis
 
-    def _class_ids(self, shape: tuple[int, ...]) -> np.ndarray:
-        """Exact alias-class id of every index of the box ``[0, shape)``, in C order.
+    def _class_keys(self, shape: tuple[int, ...]) -> tuple[np.ndarray, int]:
+        """Alias-class id of every index of the box ``[0, shape)``, above its index.
 
-        The coset key of ``v`` is ``v mod period`` per axis (mixed radix)
-        followed by one parity bit per grid, ``sum_a floor(v_a / N_a) shift_a
-        mod 2``.  Two vectors share it exactly when their difference shifts
-        no sample of any grid.  Those shifts form a reflection-invariant
-        lattice, so the key's minimum over the sign flips of ``v`` names the
-        class of ``v``.
+        Returns ``(keys, shift)``: ``keys`` in C order, each ``id << shift``
+        plus the index's C-order position, so ``keys >> shift`` are the ids.
+        The coset key of ``v`` is ``v_a mod M_a`` per axis (mixed radix,
+        axis 0 most significant) followed by one parity bit per grid,
+        ``sum_a floor(v_a / N_a) shift_a mod 2``.  Two vectors share it
+        exactly when their difference shifts no sample of any grid.  Those
+        shifts form a reflection-invariant lattice, so the key's minimum over
+        the sign flips of ``v`` names the class of ``v``: that is the id.
+
+        The minimum is found axis by axis.  Where ``v_a mod M_a`` and
+        ``-v_a mod M_a`` differ, the smaller one fixes the sign of axis
+        ``a``.  Each axis gives one 1-d array of residue, parity and position
+        terms, and the keys are their broadcast sum; a grid's parity field
+        holds the sum of ``dim`` bits, and only its low bit is kept.  Where
+        the residues agree (``2 v_a = 0 mod M_a``) the sign reaches only the
+        parity bits: the bit of each grid shifted on axis ``a`` whose ``N_a``
+        does not divide ``v_a``, so only on the planes ``v_a = M_a / 2 mod
+        M_a``.  There the keys take the least parity over the free signs, one
+        set of free axes at a time.
+
+        Under the build cap the keys stay below 2^58: at most 21 bits of
+        index, 21 of residues (``prod(M_a // 2 + 1)`` is at most the box
+        size) and two per grid, of which there are at most ``2^dim``.
         """
-        best = None
-        for signs in itertools.product((1, -1), repeat=self.dim):
-            key, parity = 0, 0
-            for a, (sign, n, period) in enumerate(zip(signs, shape, self._period)):
-                v = sign * np.arange(n).reshape((n,) + (1,) * (self.dim - 1 - a))
-                key = key * period + v % period
-                for bit, g in enumerate(self._grids):
-                    parity = parity ^ (((v // g.circle_counts[a]) * g.shift[a] % 2) << bit)
-            ids = (key << len(self._grids)) | parity
-            best = ids if best is None else np.minimum(best, ids)
-        return best.ravel()
+        circle = np.array([g.circle_counts for g in self._grids]).T[:, :, None]
+        shifts = np.array([g.shift for g in self._grids]).T[:, :, None]
+        width = self.dim.bit_length()
+        shift = (math.prod(shape) - 1).bit_length()
+        bit = 1 << (shift + width * np.arange(len(self._grids), dtype=np.int64)[:, None])
+        keys, flips = np.zeros((), dtype=np.int64), {}
+        radix, stride = 1 << (shift + width * len(self._grids)), 1
+        for a in reversed(range(self.dim)):
+            v, M = np.arange(shape[a]), self._box[a] - 1
+            up, down = v % M, -v % M
+            par = np.where(down < up, -v, v) // circle[a] * shifts[a] & 1
+            keys = ((np.minimum(up, down) * radix + (par * bit).sum(axis=0) + v * stride)
+                    .reshape((-1,) + (1,) * keys.ndim) + keys)
+            if M % 2 == 0 and (flip := int((shifts[a] * bit * (M // 2 % circle[a] != 0)).sum())):
+                flips[a] = flip
+            radix, stride = radix * (M // 2 + 1), stride * shape[a]
+        keys &= ~(((1 << width) - 2) * bit).sum()
+        fixes = []
+        for axes in itertools.chain.from_iterable(
+                itertools.combinations(flips, k) for k in range(1, len(flips) + 1)):
+            at = tuple(slice((n - 1) // 2, None, n - 1) if a in axes else slice(None)
+                       for a, n in enumerate(self._box))
+            fixes.append((at, keys[at] ^ np.bitwise_xor.reduce([flips[a] for a in axes])))
+        for at, flipped in fixes:  # each from the keys before any fix
+            np.minimum(keys[at], flipped, out=keys[at])
+        return keys.ravel(), shift
 
     def _box_classes(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
         """The alias classes met in the box, numbered by their first member.
 
-        Members are ordered by (norm, box index); the box index is the
-        C-order position in ``[0, period]^d``, so it orders members
-        lexicographically.  Returns the box index and squared norm of each
-        class's first member, and the box index and class number of every
-        member of lowest norm.
+        One sort of the class keys brings each class's members together in
+        box-index order; the box index is the C-order position in the box,
+        so it orders members lexicographically.  A class's first member is
+        its least (norm, box index), and classes are numbered in that order.
+        Returns the box index and squared norm of each class's first member,
+        and the box index and class number of every member of lowest norm,
+        class by class.
         """
-        norm2 = _box_norm2(self._box)
-        order = np.argsort(norm2, kind="stable")
-        norm2 = norm2[order]
-        _, first, cls = np.unique(self._class_ids(self._box)[order],
-                                  return_index=True, return_inverse=True)
-        number = np.empty_like(first)
-        number[np.argsort(first)] = np.arange(len(first))
-        lowest = np.flatnonzero(norm2 == norm2[first][cls])
-        first = np.sort(first)
-        return order[first], norm2[first], order[lowest], number[cls[lowest]]
+        size = math.prod(self._box)
+        keys, shift = self._class_keys(self._box)
+        keys.sort()
+        index = keys & ((1 << shift) - 1)
+        starts = np.flatnonzero(np.diff(keys >> shift, prepend=-1))
+        norm2 = _box_norm2(self._box)[index]
+        # The (norm^2, index) key fits in int64: norm^2 <= sum_a M_a^2 < size^2,
+        # since size = prod_a (M_a + 1) > sum_a M_a, so the key is below
+        # size^3 <= 2^63 for a box under the build cap of 2^21 indices.
+        first = np.minimum.reduceat(norm2 * size + index, starts)
+        lowest = np.flatnonzero(norm2 == np.repeat(first // size, np.diff(starts, append=size)))
+        order = np.argsort(first)
+        number = np.empty_like(order)
+        number[order] = np.arange(len(order))
+        first_norm2, first = np.divmod(first[order], size)
+        cls = np.searchsorted(starts, lowest, side="right") - 1
+        return first, first_norm2, index[lowest], number[cls]
 
-    def _samples(self, ks: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Lattice-wide slot and sampling sign of each row of ``ks`` per grid.
+    def _axis_tables(self, coarse: np.ndarray) -> list[tuple[np.ndarray, np.ndarray, np.ndarray]]:
+        """Per axis, the terms every frequency ``v`` in ``[0, M_a]`` contributes.
 
-        Writing ``k = m N + eps f`` with ``f`` the folded frequency, an
-        ``(N, shift)`` axis samples ``(-1)^(m shift) cos(f theta)``.  The sign
-        is 0 where ``f`` reaches no node: the half-shift top mode ``2f = N``.
-        Both arrays have shape (ngrids, len(ks)).
+        Returns one ``(code, flat, sign)`` per axis.  ``code`` is ``v``'s term
+        of the mixed-radix group code, its fold ``min(v mod c, c - v mod c)``
+        for ``c`` the axis's ``coarse``.  ``flat`` and ``sign`` have one row
+        per grid.  Writing ``v = m N + eps f`` with ``f`` the folded
+        frequency, an ``(N, shift)`` axis samples ``(-1)^(m shift) cos(f
+        theta)``: ``flat`` is ``f`` times the grid's C-order stride, and
+        ``sign`` is ``(-1)^(m shift)``, or 0 where ``f`` reaches no node
+        (the half-shift top mode ``2f = N``).
         """
-        slots = np.empty((len(self._grids), len(ks)), dtype=np.int64)
-        signs = np.empty_like(slots)
-        for gi, g in enumerate(self._grids):
-            flat, odd, seen = 0, 0, True
-            for k, N, shift, n in zip(ks.T, g.circle_counts, g.shift, g.counts):
-                r = k % N
-                f = np.minimum(r, N - r)
-                odd = odd + (k // N + (r != f)) * shift
-                seen = seen & (f < n)
-                flat = flat * n + f
-            slots[gi] = self._slot_base[gi] + flat
-            signs[gi] = np.where(seen, 1 - 2 * (odd % 2), 0)
-        return slots, signs
+        circle = np.array([g.circle_counts for g in self._grids])
+        shifts = np.array([g.shift for g in self._grids])
+        counts = np.array([g.counts for g in self._grids])
+        strides = (np.cumprod(counts[:, ::-1], axis=1)[:, ::-1] // counts)[:, :, None]
+        radix = np.cumprod((coarse // 2 + 1)[::-1])[::-1] // (coarse // 2 + 1)
+        tables = []
+        for a, c in enumerate(coarse.tolist()):
+            v, N = np.arange(self._box[a]), circle[:, a, None]
+            r, rc = v % N, v % c
+            f = np.minimum(r, N - r)
+            seen = f < counts[:, a, None]
+            odd = (v // N + (r != f)) * shifts[:, a, None] & 1
+            tables.append((np.minimum(rc, c - rc) * radix[a], np.where(seen, f * strides[:, a], 0),
+                           np.where(seen, 1 - 2 * odd, 0)))
+        return tables
 
-    def _slot_groups(self, coarse: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Code and slot count of each aliasing group, and the slots group by group.
+    def _slot_groups(self, coarse, tables) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+        """Code and slot count of each aliasing group, the slots group by group,
+        and the group of every code.
 
         A slot's group key is its per-axis fold modulo ``coarse``; a group's
-        slots keep their (grid, flat) order.
+        slots keep their (grid, flat) order.  Codes lie below ``prod(coarse
+        // 2 + 1)``, so the groups are counted, not sorted.
         """
-        slot_codes = np.concatenate([_group_code(np.indices(g.counts).reshape(self.dim, -1).T,
-                                                coarse) for g in self._grids])
-        codes, slot_group = np.unique(slot_codes, return_inverse=True)
-        return codes, np.bincount(slot_group), np.argsort(slot_group, kind="stable")
+        slot_codes = np.concatenate([
+            sum(np.ix_(*[code[:n] for (code, _, _), n in zip(tables, g.counts)])).ravel()
+            for g in self._grids])
+        count = np.bincount(slot_codes, minlength=math.prod(coarse // 2 + 1))
+        codes = np.flatnonzero(count)
+        _, slot_order = _sort_pairs(slot_codes, np.arange(len(slot_codes)), len(slot_codes))
+        return codes, count[codes], slot_order, np.cumsum(count > 0) - 1
 
-    def _select_entries(self, coarse, codes, keys, need):
+    def _select_entries(self, tables, group_of, keys, need):
         """The ``need`` lowest-norm visible classes of each group, as entries.
 
         Classes are ranked within their group by (norm, canonical index),
-        which is also the basis order.  Returns every entry member's box
-        index and entry (members lexicographic within an entry), the entries
+        which is also the basis order.  A class is visible when some grid
+        samples its first member.  Returns every entry member's box index
+        and entry (members lexicographic within an entry), the entries
         group by group, and the groups whose cut falls between tied classes.
         """
         first, first_norm2, lowest, lowest_cls = self._box_classes()
-        reps = np.column_stack(np.unravel_index(first, self._box))
-        visible = np.flatnonzero(np.any(self._samples(reps)[1], axis=0))
-        group = np.searchsorted(codes, _group_code(reps[visible], coarse))
-        by_group = np.argsort(group, kind="stable")
-        visible, group = visible[by_group], group[by_group]
-        nvis = np.bincount(group, minlength=len(codes))
+        reps = np.unravel_index(first, self._box)
+        seen = True
+        for k, (_, _, sign) in zip(reps, tables):
+            seen = seen & (sign.take(k, axis=1) != 0)
+        visible = np.flatnonzero(seen.any(axis=0))
+        group = group_of[sum(code[k[visible]] for k, (code, _, _) in zip(reps, tables))]
+        nclasses = len(first)
+        group, visible = _sort_pairs(group, visible, nclasses)
+        nvis = np.bincount(group, minlength=len(need))
         short = np.flatnonzero(nvis < need)
         if short.size:
             raise LatticeError(f"could not close aliasing group {tuple(keys[short[0]].tolist())}")
@@ -498,32 +617,35 @@ class ChebyshevLattice:
         cut = cut[first_norm2[visible[cut]] == first_norm2[visible[cut - 1]]]
 
         taken = rank < need[group]
-        entry_of = np.full(len(first), -1)
+        entry_of = np.full(nclasses, -1)
         entry_of[np.sort(visible[taken])] = np.arange(self.npoints)
         owners = entry_of[lowest_cls]
-        kept = np.flatnonzero(owners >= 0)
-        kept = kept[np.argsort(owners[kept], kind="stable")]
-        return lowest[kept], owners[kept], entry_of[visible[taken]], group[cut]
+        kept = owners >= 0
+        owners, members = _sort_pairs(owners[kept], lowest[kept], math.prod(self._box))
+        return members, owners, entry_of[visible[taken]], group[cut]
 
-    def _responses(self, members, owners, slot_order, entry_order, need) -> np.ndarray:
+    def _responses(self, members, owners, slot_order, entry_order, need, tables) -> np.ndarray:
         """Every group's response matrix, flattened one after another.
 
         ``slot_order`` and ``entry_order`` list each group's slots and
         entries in turn; positions within a group are rows and columns.
-        ``response[row, col]`` sums the sampling signs of the entry's members.
+        ``response[row, col]`` sums the sampling signs of the entry's members,
+        gathered per grid from the axis tables (the slot of an unsampled,
+        sign 0, pair lies in its grid but means nothing).
         """
+        size = need * need
         group = np.repeat(np.arange(len(need)), need)
         within = np.arange(len(group)) - np.repeat(np.cumsum(need) - need, need)
-        row, col, entry_group = np.empty_like(within), np.empty_like(within), np.empty_like(group)
-        row[slot_order], col[entry_order], entry_group[entry_order] = within, within, group
-        slots, signs = self._samples(members)
+        row_at, col_at = np.empty_like(within), np.empty_like(within)
+        row_at[slot_order] = within * need[group]
+        col_at[entry_order] = (np.cumsum(size) - size)[group] + within
+        slots, signs = self._slot_base[:-1, None], 1
+        for k, (_, flat, sign) in zip(members.T, tables):
+            slots = slots + flat.take(k, axis=1)
+            signs = signs * sign.take(k, axis=1)
         hit = signs != 0
-        entry = np.broadcast_to(owners, hit.shape)[hit]
-        group = entry_group[entry]
-        size = need * need
-        response = np.zeros(size.sum(), dtype=np.int64)
-        np.add.at(response, np.cumsum(size)[group] - size[group] + row[slots[hit]] * need[group]
-                  + col[entry], signs[hit])
+        response = np.bincount((col_at[owners] + row_at[slots])[hit], weights=signs[hit],
+                               minlength=size.sum()).astype(np.int64)
         response.flags.writeable = False
         return response
 
@@ -535,23 +657,21 @@ class ChebyshevLattice:
         into one group.  A group of ``need`` slots takes its ``need`` visible
         classes of lowest (norm, canonical index) as basis entries.
         """
-        circle = np.array([g.circle_counts for g in self._grids])
-        coarse = np.gcd.reduce(circle, axis=0)
-        self._period = np.lcm.reduce(circle, axis=0)
-        self._box = tuple(int(p) + 1 for p in self._period)
+        coarse = np.gcd.reduce([g.circle_counts for g in self._grids], axis=0)
+        self._box = _box_shape(self._grids)
+        tables = self._axis_tables(coarse)
 
-        codes, need, slot_order = self._slot_groups(coarse)
+        codes, need, slot_order, group_of = self._slot_groups(coarse, tables)
         keys = np.column_stack(np.unravel_index(codes, coarse // 2 + 1))
-        member_codes, owners, entry_order, cut = self._select_entries(coarse, codes, keys, need)
+        member_codes, owners, entry_order, cut = self._select_entries(tables, group_of, keys, need)
         self.cut_ties = list(map(tuple, keys[cut].tolist()))
         members = np.column_stack(np.unravel_index(member_codes, self._box))
-        response = self._responses(members, owners, slot_order, entry_order, need)
+        response = self._responses(members, owners, slot_order, entry_order, need, tables)
         self.blocks = _blocks(response, slot_order, entry_order, keys, need)
 
-        by_code = np.argsort(member_codes)
         self._members, self._owners = members, owners
         self._entry_starts = np.searchsorted(owners, np.arange(self.npoints + 1))
-        self._member_codes, self._code_owners = member_codes[by_code], owners[by_code]
+        self._member_codes, self._code_owners = _sort_pairs(member_codes, owners, self.npoints)
         for a in (self._members, self._owners, self._entry_starts, self._member_codes,
                   self._code_owners):
             a.flags.writeable = False
@@ -660,7 +780,11 @@ def aliasing_class(lattice: ChebyshevLattice, k) -> tuple[tuple[int, ...], list[
     k = tuple(int(v) for v in k)
     norm2_k = sum(v * v for v in k)
     box = (math.isqrt(norm2_k) + 2,) * lattice.dim
-    ids = lattice._class_ids(box)
+    if math.prod(box) > _MAX_BOX:
+        raise LatticeError(f"the class of {k} needs a box of {math.prod(box)} indices, "
+                           f"over the cap of {_MAX_BOX}")
+    keys, shift = lattice._class_keys(box)
+    ids = keys >> shift
     norm2 = _box_norm2(box)
     found = np.flatnonzero((ids == ids[np.ravel_multi_index(np.abs(k), box)]) & (norm2 <= norm2_k))
     found = found[np.argsort(norm2[found], kind="stable")]  # (norm, index) order

@@ -29,6 +29,15 @@ def test_info_invalid_dim_exits_1():
     assert "padua" in err
 
 
+def test_over_cap_lattice_exits_1(capsys):
+    assert main(["info", "--family", "bcc", "--dim", "3", "--resolution", "10000"]) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == ("cheblat info: error: bcc resolution 10000 has 250075015001 points and a "
+                   "frequency box of 1000300030001 indices, over the build cap of 2097152 box "
+                   "indices\n")
+
+
 def test_usage_error_exits_2():
     rc, out, err = run_cli("info", "--family", "padua", "--dim", "2")
     assert rc == 2

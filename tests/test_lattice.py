@@ -2,6 +2,7 @@ import copy
 import itertools
 import json
 import math
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -72,6 +73,36 @@ def test_invalid_family_dim_pairs():
         lat.build("cartesian", 2, 1)
     with pytest.raises(lat.LatticeError):
         lat.build("hex", 2, 0)
+
+
+@pytest.mark.parametrize("dim,res", [(3, True), (True, 2), (3, 2.0), (3.0, 2), (3, "2"),
+                                     (3, None), (3, np.float64(2)), (3, np.bool_(True))])
+def test_build_rejects_non_integer_arguments(dim, res):
+    with pytest.raises(lat.LatticeError, match="must be an integer"):
+        lat.build("bcc", dim, res)
+
+
+def test_build_stores_python_ints():
+    L = lat.build("bcc", np.int64(3), np.int32(2))
+    assert type(L.dim) is int and type(L.resolution) is int
+    assert lat.lattice_descriptor(L) == lat.lattice_descriptor(lat.build("bcc", 3, 2))
+
+
+def test_over_cap_build_raises_before_allocating():
+    # bcc r=10^4 would need a box of about 10^12 indices; the check runs first
+    tracemalloc.start()
+    try:
+        with pytest.raises(lat.LatticeError, match=r"^bcc resolution 10000 has 250075015001 "
+                           r"points and a frequency box of 1000300030001 indices, over the "
+                           r"build cap of 2097152 box indices$"):
+            lat.build("bcc", 3, 10**4)
+        assert tracemalloc.get_traced_memory()[1] < 1 << 20
+    finally:
+        tracemalloc.stop()
+    with pytest.raises(lat.LatticeError, match="box of 2146689 indices"):
+        lat.build("bcc", 3, 128)  # the first bcc box over 2^21 = 128^3 indices
+    with pytest.raises(lat.LatticeError, match="over the cap"):
+        lat.aliasing_class(lat.build("bcc", 3, 2), (10**4, 0, 0))
 
 
 @pytest.mark.parametrize("family,dim", ALL_FAMILIES)
@@ -427,11 +458,16 @@ def test_structural_regression(family, dim, res, npoints, ngrids, nties):
 
 # ------------------------------------------------------------ basis oracle
 
-# criterion 2's sweep families, and the lattices the cli-oneshot benchmark builds
+# criterion 2's sweep families, and every lattice the benchmark builds: cli-oneshot's,
+# then transform-stream's and sweep's; the sweep's bcc and fcc r=8 (at most 500 points)
+# are in the parity sweep already
 PARITY_SWEEP = [("cartesian", 2), ("cartesian", 3), ("padua", 2), ("hex", 2), ("bcc", 3),
                 ("fcc", 3), ("composite-oct7", 2)]
-CLI_ONESHOT_LATTICES = [("hex", 2, 16), ("padua", 2, 64), ("bcc", 3, 24), ("fcc", 3, 12),
-                        ("composite-oct7", 2, 16)]
+BENCHMARK_LATTICES = [("hex", 2, 16), ("padua", 2, 64), ("bcc", 3, 24), ("fcc", 3, 12),
+                      ("composite-oct7", 2, 16),
+                      ("bcc", 3, 12), ("cartesian", 3, 10), ("padua", 2, 32), ("hex", 2, 8),
+                      ("composite-oct7", 2, 8), ("bcc", 3, 40), ("fcc", 3, 32), ("padua", 2, 256),
+                      ("cartesian", 3, 8)]
 
 
 def _groups(L):
@@ -471,7 +507,7 @@ def test_basis_matches_pairwise_search_oracle(family, dim):
         res += 1
 
 
-@pytest.mark.parametrize("family,dim,res", CLI_ONESHOT_LATTICES)
+@pytest.mark.parametrize("family,dim,res", BENCHMARK_LATTICES)
 def test_basis_matches_pairwise_search_oracle_large(family, dim, res):
     _assert_matches_basis_oracle(lat.build(family, dim, res))
 
@@ -496,6 +532,40 @@ def test_cut_ties_match_pairwise_search_oracle(grids, ncut):
     L = _grid_union(grids)
     assert len(L.cut_ties) == ncut
     _assert_matches_basis_oracle(L)
+
+
+def _crafted_blocks(responses, keys):
+    """`lat._blocks` on groups with the given square responses, slots and entries
+    numbered in turn."""
+    need = np.array([len(r) for r in responses])
+    order = np.arange(need.sum())
+    response = np.concatenate([np.ravel(r) for r in responses]).astype(np.int64)
+    return lat._blocks(response, order, order + 100, np.array(keys), need)
+
+
+def test_blocks_share_equal_responses_only():
+    a, b = [[1, 1], [1, -1]], [[1, 2], [1, -1]]  # b differs from a in one entry
+    blocks = _crafted_blocks([a, [[1]], a, b, a], [(0, 0), (0, 1), (0, 2), (1, 0), (1, 1)])
+    assert [block.keys.tolist() for block in blocks] == [[[0, 0], [0, 2], [1, 1]], [[0, 1]],
+                                                         [[1, 0]]]
+    assert [block.V.tolist() for block in blocks] == [a, [[1]], b]
+    assert blocks[0].slots.tolist() == [[0, 3, 7], [1, 4, 8]]
+    assert blocks[0].entries.tolist() == [[100, 103, 107], [101, 104, 108]]
+    assert blocks[2].slots.tolist() == [[5], [6]]
+
+
+def test_blocks_reject_singular_response():
+    with pytest.raises(lat.LatticeError, match=r"^aliasing group \(1, 0\) is singular$"):
+        _crafted_blocks([[[1]], [[1, 1], [1, 1]], [[2]]], [(0, 0), (1, 0), (2, 0)])
+
+
+def test_blocks_never_merge_unequal_responses(monkeypatch):
+    # with every weight zero all hashes of one size collide; the check still parts them
+    monkeypatch.setattr(lat, "_mix", np.zeros_like)
+    with pytest.raises(lat.LatticeError, match=r"^aliasing groups \(0, 0\) and \(0, 1\) "
+                       r"have unequal responses of equal hash$"):
+        _crafted_blocks([[[1]], [[2]]], [(0, 0), (0, 1)])
+    assert len(_crafted_blocks([[[1]], [[1]]], [(0, 0), (0, 1)])) == 1
 
 
 def test_basis_lookup_is_built_once_and_read_only():
