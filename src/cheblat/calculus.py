@@ -18,9 +18,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .lattice import ChebyshevLattice
+from .lattice import ChebyshevLattice, _coordinate_strings
 # ``make_plan`` stays a module attribute: perfbench/tracer.py wraps calculus.make_plan.
-from .transform import (TransformPlan, _check_vector, _csv, adjoint, forward,  # noqa: F401
+from .transform import (TransformPlan, _check_vector, _records, adjoint, forward,  # noqa: F401
                         plan as make_plan)
 
 
@@ -245,4 +245,4 @@ def gauss_legendre(n: int, d: int) -> tuple[np.ndarray, np.ndarray]:
 
 def stencil_to_csv(stencil: QuadratureStencil) -> str:
     """One record per node: coordinate columns then the weight."""
-    return _csv(np.column_stack([stencil.lattice.points, stencil.weights]))
+    return _records(_coordinate_strings(stencil.lattice.points), stencil.weights)

@@ -120,7 +120,7 @@ def _cmd_eval(args) -> int:
         raise calculus.CalculusError(f"--at expects {lattice.dim} comma-separated coordinates")
     pts = np.array(args.at)
     vals = calculus.evaluate(interp, pts)
-    _emit(tf._csv(np.column_stack([pts, vals])), args.out)
+    _emit(tf._records(lat._coordinate_strings(pts), vals), args.out)
     return 0
 
 

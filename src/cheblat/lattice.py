@@ -312,6 +312,15 @@ def _box_norm2(shape: tuple[int, ...]) -> np.ndarray:
     return sum(np.ix_(*[np.arange(n) ** 2 for n in shape])).ravel()
 
 
+def _family(family) -> Family:
+    """``family`` as a `Family`; anything else raises `LatticeError`."""
+    try:
+        return Family(family)
+    except ValueError:
+        raise LatticeError(f"unknown family {family!r}; valid families are "
+                           f"{', '.join(f.value for f in Family)}") from None
+
+
 def _integer(name: str, value) -> int:
     """``value`` as a Python int; bools and non-integers raise `LatticeError`."""
     if isinstance(value, bool) or not isinstance(value, numbers.Integral):
@@ -409,7 +418,7 @@ class ChebyshevLattice:
     """
 
     def __init__(self, family: Family, dim: int, resolution: int):
-        family = Family(family)
+        family = _family(family)
         dim, resolution = _integer("dim", dim), _integer("resolution", resolution)
         if dim not in _FAMILY_DIMS[family]:
             raise LatticeError(f"family {family.value} does not support dim {dim}")
@@ -746,10 +755,11 @@ def build(family: Family | str, dim: int, resolution: int) -> ChebyshevLattice:
     Raises
     ------
     LatticeError
-        If the (family, dim) pair is unsupported, the resolution is below
-        the family minimum, or the unisolvency bookkeeping fails.
+        If the family is unknown, the (family, dim) pair is unsupported,
+        the resolution is below the family minimum, or the unisolvency
+        bookkeeping fails.
     """
-    return ChebyshevLattice(Family(family), dim, resolution)
+    return ChebyshevLattice(family, dim, resolution)
 
 
 def reciprocal_basis(lattice: ChebyshevLattice) -> ReciprocalBasis:
@@ -925,7 +935,7 @@ def boundary_degree(lattice: ChebyshevLattice, axis: int = -1) -> int:
 def degree_config(family: Family | str, dim: int, degree: float) -> int:
     """Smallest resolution whose basis region contains the ball of the
     given Euclidean degree."""
-    family = Family(family)
+    family = _family(family)
     res = _MIN_RESOLUTION[family]
     while res < 10_000:
         lat_r = _cheap_degree(family, dim, res)
@@ -949,9 +959,28 @@ _G17 = "%.17g"  # 17 significant digits: every float reads back exactly
 
 def _format_rows(a, row_fmt: str, sep: str = "\n") -> str:
     """Every row of the 2-d array ``a`` through the %-template ``row_fmt``,
-    joined by ``sep``, in one ``%`` call (``_G17 % x`` is ``format(x, ".17g")``)."""
+    joined by ``sep``, in one ``%`` call (``_G17 % x`` is ``format(x, ".17g")``).
+
+    Float coordinates arrive as strings from `_coordinate_strings` (``%s``),
+    so each distinct coordinate is converted once, not once per cell.
+    """
     a = np.asarray(a)
     return sep.join([row_fmt] * len(a)) % tuple(a.ravel().tolist())
+
+
+def _coordinate_strings(points: np.ndarray) -> np.ndarray:
+    """``_G17 % x`` of every cell of the float array ``points``, as an object
+    array of its shape, with one conversion per distinct value.
+
+    A lattice's coordinates are a few node values per axis (bcc r=24: 3925
+    points, 25 distinct values; hex r=16: 3673 points, 161), so few floats
+    are converted.  Values are keyed on their bit pattern, which keeps
+    ``-0.0`` and ``0.0`` apart.
+    """
+    points = np.ascontiguousarray(points, dtype=float)
+    bits, where = np.unique(points.view(np.int64), return_inverse=True)
+    strings = np.array([_G17 % x for x in bits.view(float).tolist()], dtype=object)
+    return strings[where.reshape(points.shape)]
 
 
 def _json_value(obj) -> str:
@@ -982,7 +1011,9 @@ def lattice_descriptor(lattice: ChebyshevLattice) -> str:
     """JSON descriptor with fixed field order and 17-significant-digit floats.
 
     Tie-combination entries list their canonical index in ``basis``; the
-    full member sets appear under the trailing ``ties`` field.
+    full member sets appear under the trailing ``ties`` field.  ``points``
+    converts each distinct coordinate once (`_coordinate_strings`), and
+    ``basis`` and ``ties`` are each one ``%`` call over a flat tuple of ints.
     """
     d = lattice.dim
     head = {"family": lattice.family.value, "dim": d, "resolution": lattice.resolution,
@@ -992,15 +1023,18 @@ def lattice_descriptor(lattice: ChebyshevLattice) -> str:
          "offset": [float(o) for o in s.offset]}
         for s in lattice.sublattices()
     ]
-    starts = lattice._entry_starts
-    ties = [{"entry": i, "members": lattice._members[starts[i]:starts[i + 1]].tolist()}
-            for i in np.flatnonzero(np.diff(starts) > 1).tolist()]
+    starts, members = lattice._entry_starts, lattice._members
     int_row = "[" + ", ".join(["%d"] * d) + "]"
-    float_row = "[" + ", ".join([_G17] * d) + "]"
+    tie_fmt, tie_ints = [], []
+    for i in np.flatnonzero(np.diff(starts) > 1).tolist():
+        tie = members[starts[i]:starts[i + 1]]
+        tie_fmt.append('{"entry": %d, "members": [' + ", ".join([int_row] * len(tie)) + "]}")
+        tie_ints += [i, *tie.ravel().tolist()]
     return (
         _json_value(head)[:-1]
         + ', "basis": [' + _format_rows(_canonical_indices(lattice), int_row, ", ")
-        + '], "points": [' + _format_rows(lattice.points, float_row, ", ")
+        + '], "points": [' + _format_rows(_coordinate_strings(lattice.points),
+                                          "[" + ", ".join(["%s"] * d) + "]", ", ")
         + '], "sublattices": ' + _json_value(subs)
-        + ', "ties": ' + _json_value(ties) + "}"
+        + ', "ties": [' + ", ".join(tie_fmt) % tuple(tie_ints) + "]}"
     )

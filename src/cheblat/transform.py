@@ -25,7 +25,8 @@ import numpy as np
 
 # dct_nd, idct_nd, adjoint_dct_nd and dct_axis stay bound here: perfbench/tracer.py wraps them.
 from .dct import GridDCT, adjoint_dct_nd, dct_axis, dct_nd, idct_nd  # noqa: F401
-from .lattice import _G17, ChebyshevLattice, Family, LatticeError, _canonical_indices, _format_rows
+from .lattice import (_G17, ChebyshevLattice, Family, LatticeError, _canonical_indices,
+                      _coordinate_strings, _format_rows)
 
 
 class TransformError(ValueError):
@@ -178,9 +179,15 @@ def dense_condition(lattice: ChebyshevLattice) -> float:
 # ------------------------------------------------------------------- CSV
 
 
-def _csv(table: np.ndarray) -> str:
-    """CSV text of a 2-d float table, 17 significant digits per cell."""
-    return _format_rows(table, ",".join([_G17] * table.shape[1])) + "\n"
+def _records(labels: np.ndarray, values: np.ndarray) -> str:
+    """CSV text, one row per row of the 2-d ``labels`` (string or int cells,
+    printed as they are) followed by the matching ``values`` entry to 17
+    significant digits."""
+    n, d = labels.shape
+    table = np.empty((n, d + 1), dtype=object)  # Python ints and floats print fastest
+    table[:, :d] = labels
+    table[:, d] = values
+    return _format_rows(table, ",".join(["%s"] * d + [_G17])) + "\n"
 
 
 def _check_rows(ok: np.ndarray, message: str) -> None:
@@ -190,21 +197,32 @@ def _check_rows(ok: np.ndarray, message: str) -> None:
         raise TransformError(message.format(int(np.argmin(ok))))
 
 
-def _parse_rows(text: str, nrows: int, ncols: int, what: str) -> np.ndarray:
-    """The non-blank rows of a CSV text as an ``(nrows, ncols)`` float array.
+def _parse_rows(text: str, nrows: int, ncols: int, what: str) -> tuple[np.ndarray, np.ndarray]:
+    """The non-blank rows of a CSV text as an ``(nrows, ncols - 1)`` float
+    array of labels (coordinates or indices) and a float vector of values.
 
-    Every field goes through `float` in one pass, so the number syntax is
-    Python's; a wrong row count, a row with another column count, or a
-    field `float` rejects raises `TransformError` naming the first such row.
+    Every field goes through `float`, so the number syntax is Python's.  A
+    label column repeats a few distinct strings, so each distinct label
+    string is converted once; each value field is converted on its own.  A
+    wrong row count, a row with another column count, or a field `float`
+    rejects raises `TransformError` naming the first such row.
     """
     rows = list(filter(str.strip, text.splitlines()))
     if len(rows) != nrows:
         raise TransformError(f"expected {nrows} {what} rows, got {len(rows)}")
-    commas = np.fromiter(map(str.count, rows, itertools.repeat(",")), np.int64, nrows)
-    _check_rows(commas == ncols - 1, f"{what} row {{}} does not have {ncols} columns")
+    commas = list(map(str.count, rows, itertools.repeat(",")))
+    if commas.count(ncols - 1) != nrows:  # list.count: no array on the good path
+        _check_rows(np.array(commas) == ncols - 1,
+                    f"{what} row {{}} does not have {ncols} columns")
+    labels = ",".join(rows).split(",")
+    values = labels[ncols - 1::ncols]
+    del labels[ncols - 1::ncols]  # the label fields remain
     try:
-        return np.fromiter(map(float, ",".join(rows).split(",")), float, nrows * ncols
-                           ).reshape(nrows, ncols)
+        distinct = set(labels)
+        number = dict(zip(distinct, map(float, distinct)))
+        return (np.fromiter(map(number.__getitem__, labels), float, len(labels)
+                            ).reshape(nrows, ncols - 1),
+                np.fromiter(map(float, values), float, nrows))
     except ValueError:
         for i, row in enumerate(rows):  # find the row to name
             try:
@@ -216,41 +234,38 @@ def _parse_rows(text: str, nrows: int, ncols: int, what: str) -> np.ndarray:
 
 def coefficients_to_csv(lattice: ChebyshevLattice, coeffs) -> str:
     """One record per basis entry: canonical index columns then the value."""
-    d = lattice.dim
-    table = np.empty((len(lattice.basis), d + 1), dtype=object)  # Python ints print fastest
-    table[:, :d] = _canonical_indices(lattice)
-    table[:, d] = np.asarray(coeffs, dtype=float)
-    return _format_rows(table, ",".join(["%d"] * d + [_G17])) + "\n"
+    coeffs = _check_vector(coeffs, len(lattice.basis), "coefficients")
+    return _records(_canonical_indices(lattice), coeffs)
 
 
 def coefficients_from_csv(lattice: ChebyshevLattice, text: str) -> np.ndarray:
     """Inverse of `coefficients_to_csv`; index columns must match the basis."""
     d = lattice.dim
-    table = _parse_rows(text, len(lattice.basis), d + 1, "coefficient")
+    index, values = _parse_rows(text, len(lattice.basis), d + 1, "coefficient")
     canon = _canonical_indices(lattice)
     with np.errstate(invalid="ignore"):  # NaN/Inf cast to a garbage index: no match
-        idx = table[:, :d].astype(np.int64)  # truncates as int(float(field))
+        idx = index.astype(np.int64)  # truncates as int(float(field))
     match = (idx == canon).all(axis=1)
     if not match.all():
         i = int(np.argmin(match))
         raise TransformError(
-            f"coefficient row {i} index ({', '.join(_G17 % v for v in table[i, :d])}) "
+            f"coefficient row {i} index ({', '.join(_G17 % v for v in index[i])}) "
             f"does not match basis {tuple(canon[i].tolist())}"
         )
-    _check_rows(np.isfinite(table[:, d]), "coefficient row {} value is not finite")
-    return table[:, d].copy()
+    _check_rows(np.isfinite(values), "coefficient row {} value is not finite")
+    return values
 
 
 def samples_to_csv(lattice: ChebyshevLattice, samples) -> str:
     """One record per lattice point: coordinate columns then the value."""
-    return _csv(np.column_stack([lattice.points, np.asarray(samples, dtype=float)]))
+    samples = _check_vector(samples, lattice.npoints, "samples")
+    return _records(_coordinate_strings(lattice.points), samples)
 
 
 def samples_from_csv(lattice: ChebyshevLattice, text: str) -> np.ndarray:
     """Inverse of `samples_to_csv`; coordinates must match the points to 1e-9."""
-    d = lattice.dim
-    table = _parse_rows(text, lattice.npoints, d + 1, "sample")
-    err = np.abs(table[:, :d] - lattice.points).max(axis=1)
+    coords, values = _parse_rows(text, lattice.npoints, lattice.dim + 1, "sample")
+    err = np.abs(coords - lattice.points).max(axis=1)
     _check_rows(err <= 1e-9, "sample row {} coordinates do not match the lattice point")
-    _check_rows(np.isfinite(table[:, d]), "sample row {} value is not finite")
-    return table[:, d].copy()
+    _check_rows(np.isfinite(values), "sample row {} value is not finite")
+    return values

@@ -75,6 +75,25 @@ def test_invalid_family_dim_pairs():
         lat.build("hex", 2, 0)
 
 
+_FAMILY_CALLS = {"build": lambda f: lat.build(f, 3, 2).family,
+                 "degree_config": lambda f: lat.build(f, 3, lat.degree_config(f, 3, 2.0)).family}
+
+
+@pytest.mark.parametrize("call", sorted(_FAMILY_CALLS))
+@pytest.mark.parametrize("family", ["nope", "BCC", "", None, 3])
+def test_unknown_family_raises_lattice_error_naming_the_valid_ones(call, family):
+    valid = ", ".join(f.value for f in lat.Family)
+    with pytest.raises(lat.LatticeError, match=f"^unknown family {family!r}; valid families "
+                                               f"are {valid}$"):
+        _FAMILY_CALLS[call](family)
+
+
+@pytest.mark.parametrize("call", sorted(_FAMILY_CALLS))
+@pytest.mark.parametrize("family", [lat.Family.BCC, lat.Family.FCC, "bcc", "fcc"])
+def test_family_members_and_valid_strings_are_accepted(call, family):
+    assert _FAMILY_CALLS[call](family) is lat.Family(family)
+
+
 @pytest.mark.parametrize("dim,res", [(3, True), (True, 2), (3, 2.0), (3.0, 2), (3, "2"),
                                      (3, None), (3, np.float64(2)), (3, np.bool_(True))])
 def test_build_rejects_non_integer_arguments(dim, res):

@@ -29,6 +29,7 @@ SMALL = [("cartesian", 1, r) for r in (2, 3, 7)] + [
 ]
 CLI_ONESHOT = [("hex", 2, 16), ("padua", 2, 64), ("bcc", 3, 24), ("fcc", 3, 12),
                ("composite-oct7", 2, 16)]
+LARGE = [("bcc", 3, 40), ("fcc", 3, 32), ("padua", 2, 256)]  # many points and ties
 # signed zero, the smallest subnormal, huge and integral values
 SPECIAL = np.array([0.0, -0.0, 5e-324, -2.2250738585072014e-308, 1e300, -1e300, 3.0, -7.0,
                     2.0**53, 0.1, 1 / 3, -6.123233995736766e-17])
@@ -45,7 +46,7 @@ def _bits(a: np.ndarray) -> np.ndarray:
     return np.asarray(a, dtype=float).view(np.int64)
 
 
-@pytest.mark.parametrize("family,dim,res", SMALL + CLI_ONESHOT)
+@pytest.mark.parametrize("family,dim,res", SMALL + CLI_ONESHOT + LARGE)
 def test_writers_and_readers_match_per_cell_references(family, dim, res):
     L = lat.build(family, dim, res)
     samples = _values(L.npoints, res)
@@ -63,6 +64,24 @@ def test_writers_and_readers_match_per_cell_references(family, dim, res):
     got = tf.coefficients_from_csv(L, ctext)
     assert np.array_equal(_bits(got), _bits(coefficients_from_csv_oracle(L, ctext)))
     assert np.array_equal(_bits(got), _bits(coeffs))
+
+
+@pytest.mark.parametrize("column", [
+    [0.0, -0.0, 0.0, -0.0, 1.0],
+    [5e-324, -5e-324, 2.2250738585072009e-308, 5e-324, 0.0, -0.0, 1e-310],
+    np.random.default_rng(3).standard_normal(200) * 10.0 ** np.arange(-100, 100),  # all distinct
+])
+def test_coordinate_strings_match_per_cell_format(column):
+    column = np.asarray(column, dtype=float)
+    points = np.column_stack([column, column[::-1], np.roll(column, 1)])
+    got = lat._coordinate_strings(points)
+    assert got.shape == points.shape
+    assert got.tolist() == [[lat._G17 % x for x in row] for row in points.tolist()]
+
+
+def test_coordinate_strings_keep_signed_zeros_apart():
+    got = lat._coordinate_strings(np.array([[0.0, -0.0], [-0.0, 0.0]]))
+    assert got.tolist() == [["0", "-0"], ["-0", "0"]]
 
 
 def test_descriptor_and_points_csv_keep_padua_tiny_coordinate():
@@ -87,6 +106,18 @@ def test_readers_accept_what_float_accepts():
     stext = "\n".join(" " + line + "\t" for line in tf.samples_to_csv(L, coeffs[:9]).splitlines())
     got = tf.samples_from_csv(L, stext)
     assert np.array_equal(_bits(got), _bits(samples_from_csv_oracle(L, stext)))
+
+
+def test_readers_convert_each_spelling_of_a_coordinate_exactly():
+    # one coordinate spelled differently on different rows reads as the per-cell reference
+    L = lat.build("cartesian", 2, 3)
+    lines = tf.samples_to_csv(L, _values(L.npoints, 4)).splitlines()
+    assert [line.split(",")[0] for line in lines[:3]] == ["1", "1", "1"]
+    for i, spelling in enumerate(["1.0", " +1e0 ", "1_0e-1"]):
+        lines[i] = spelling + "," + lines[i].split(",", 1)[1]
+    text = "\n".join(lines) + "\n"
+    assert np.array_equal(_bits(tf.samples_from_csv(L, text)),
+                          _bits(samples_from_csv_oracle(L, text)))
 
 
 def test_eval_lines_match_per_cell_reference(tmp_path):
@@ -169,6 +200,39 @@ def test_integrate_rejects_malformed_samples(tmp_path, capsys, case):
     captured = capsys.readouterr()
     assert rc == 1 and captured.out == ""
     assert f"sample row {row} " in captured.err or f"sample row {row}:" in captured.err
+
+
+@pytest.mark.parametrize("what", ["sample", "coefficient"])
+def test_reader_names_the_first_bad_row_not_the_first_bad_column(what):
+    # row 2 has a bad value; row 5 a bad label in an earlier column
+    L = lat.build("bcc", 3, 2)
+    if what == "sample":
+        write, read, n = tf.samples_to_csv, tf.samples_from_csv, L.npoints
+    else:
+        write, read, n = tf.coefficients_to_csv, tf.coefficients_from_csv, len(L.basis)
+    lines = write(L, np.ones(n)).splitlines()
+    lines[2] = lines[2].rsplit(",", 1)[0] + ",bad"
+    lines[5] = "x" + lines[5]
+    with pytest.raises(tf.TransformError,
+                       match=rf"^{what} row 2: could not convert string to float: 'bad'$"):
+        read(L, "\n".join(lines) + "\n")
+
+
+@pytest.mark.parametrize("what", ["samples", "coefficients"])
+@pytest.mark.parametrize("case", ["short", "long", "2-d", "nan", "inf", "-inf"])
+def test_writers_reject_what_the_readers_would(what, case):
+    L = lat.build("hex", 2, 2)
+    write = tf.samples_to_csv if what == "samples" else tf.coefficients_to_csv
+    n = L.npoints if what == "samples" else len(L.basis)
+    values = {"short": np.ones(n - 1), "long": np.ones(n + 1), "2-d": [[1.0] * n]}.get(case)
+    if values is None:
+        values = np.ones(n)
+        values[3] = float(case)
+        message = f"^{what} contain NaN or Inf$"
+    else:
+        message = rf"^expected {n} {what}, got shape \({np.shape(values)[0]},"
+    with pytest.raises(tf.TransformError, match=message):
+        write(L, values)
 
 
 def test_row_count_is_still_checked(tmp_path, capsys):
