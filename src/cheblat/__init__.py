@@ -4,6 +4,10 @@ Collocation lattices (tensor, Padua, hexagonal, BCC, FCC, composite
 octagonal), fast forward/inverse/adjoint transforms, spectral
 differentiation and Clenshaw-Curtis style quadrature, plus a
 rotation-averaged convergence benchmark harness.
+
+``__all__`` lists the public names.  The per-axis transforms (`dct_axis`
+and its inverse and adjoint) and the CSV readers and writers are reached
+through their modules, :mod:`cheblat.dct` and :mod:`cheblat.transform`.
 """
 
 from .calculus import (
@@ -17,7 +21,7 @@ from .calculus import (
     interpolate,
     quadrature_stencil,
 )
-from .dct import BoundaryType, Grid1D, dct_1d, dct_nd, dct_typeV, idct_1d, idct_nd, nodes_1d
+from .dct import BoundaryType, dct_nd, idct_nd
 from .lattice import (
     BasisEntry,
     CartesianSublattice,
@@ -26,7 +30,6 @@ from .lattice import (
     LatticeError,
     ReciprocalBasis,
     aliasing_class,
-    basis_indices,
     boundary_efficiency,
     brillouin_union,
     build,
@@ -34,7 +37,6 @@ from .lattice import (
     degree_config,
     efficiency,
     lattice_descriptor,
-    reciprocal_basis,
 )
 from .transform import (
     TransformPlan,
@@ -52,7 +54,6 @@ __all__ = [
     "CartesianSublattice",
     "ChebyshevLattice",
     "Family",
-    "Grid1D",
     "Interpolant",
     "LatticeError",
     "QuadratureStencil",
@@ -60,14 +61,11 @@ __all__ = [
     "TransformPlan",
     "adjoint",
     "aliasing_class",
-    "basis_indices",
     "basis_integrals",
     "boundary_efficiency",
     "brillouin_union",
     "build",
-    "dct_1d",
     "dct_nd",
-    "dct_typeV",
     "decompose",
     "degree_config",
     "dense_oracle",
@@ -77,16 +75,13 @@ __all__ = [
     "forward",
     "forward_padua",
     "gauss_legendre",
-    "idct_1d",
     "idct_nd",
     "integrate",
     "interpolate",
     "inverse",
     "lattice_descriptor",
-    "nodes_1d",
     "plan",
     "quadrature_stencil",
-    "reciprocal_basis",
 ]
 
 __version__ = "0.1.0"

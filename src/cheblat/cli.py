@@ -158,8 +158,8 @@ def _cmd_bench(args, quad: bool) -> int:
         kind=args.function,
         trials=args.trials,
         seed=args.seed,
-        metric=args.metric,
-        sample_budget=args.budget,
+        # only the interpolation error is measured at sample points
+        **({} if quad else {"metric": args.metric, "sample_budget": args.budget}),
     )
     runner = bench.run_quad_convergence if quad else bench.run_interp_convergence
     records = runner(config)
@@ -245,11 +245,12 @@ def _parser() -> argparse.ArgumentParser:
                         choices=("gaussian", "esssing") if quad else ("gaussian", "runge", "esssing"))
         sp.add_argument("--trials", type=int, default=20)
         sp.add_argument("--seed", type=int, default=0)
-        sp.add_argument("--metric", default="l2-mc", choices=("l2-mc", "l2-grid"))
-        sp.add_argument("--budget", type=int, default=20_000)
+        if not quad:
+            sp.add_argument("--metric", default="l2-mc", choices=("l2-mc", "l2-grid"))
+            sp.add_argument("--budget", type=int, default=20_000)
         sp.add_argument("--svg", help="also write an SVG line chart")
         sp.add_argument("--out")
-        sp.set_defaults(func=_cmd_bench, quad=quad)
+        sp.set_defaults(func=functools.partial(_cmd_bench, quad=quad))
 
     sp = sub.add_parser("lebesgue", help="estimate the Lebesgue constant")
     _add_lattice_args(sp)
@@ -263,8 +264,6 @@ def main(argv=None) -> int:
     parser = _parser()
     args = parser.parse_args(argv)
     try:
-        if args.command in ("bench-interp", "bench-quad"):
-            return args.func(args, quad=args.quad)
         return args.func(args)
     except (lat.LatticeError, tf.TransformError, calculus.CalculusError, bench.BenchError) as exc:
         print(f"cheblat {args.command}: error: {exc}", file=sys.stderr)

@@ -22,10 +22,11 @@ Modes ``k`` and ``k'`` coincide on the grid when ``k' = +-k mod N``.  The
 reflection ``theta -> -theta`` fixes the nodes with ``N | 2j + s`` (the
 endpoints) and the modes with ``N | 2k``; every per-family factor follows.
 
-Normalization: `dct_1d` returns coefficients ``c`` such that sampling
-``cos(k * theta)`` on the grid yields exactly the unit vector ``e_k``, so
-``f(theta_i) = sum_k c_k cos(k theta_i)`` always holds and `idct_1d` is an
-exact inverse.  This "unit recovery" convention makes round trips and
+Normalization: the analysis transform (`GridDCT.forward`, `dct_axis`)
+returns coefficients ``c`` such that sampling ``cos(k * theta)`` on the grid
+yields exactly the unit vector ``e_k``, so ``f(theta_i) = sum_k c_k cos(k
+theta_i)`` always holds and the synthesis (`GridDCT.inverse`, `idct_axis`)
+is an exact inverse.  This "unit recovery" convention makes round trips and
 unisolvency checks crisp; it differs from an orthonormal DCT by diagonal
 factors only.
 
@@ -44,7 +45,6 @@ from __future__ import annotations
 import enum
 import functools
 import math
-from dataclasses import dataclass
 
 import numpy as np
 import scipy.fft
@@ -65,33 +65,6 @@ class BoundaryType(enum.Enum):
         self.contains_minus_one = value in ("I", "V+")
 
 
-@dataclass(frozen=True)
-class Grid1D:
-    """A one-dimensional symmetric node set.
-
-    Attributes
-    ----------
-    n : int
-        Number of nodes.
-    boundary : BoundaryType
-        Node family.
-    thetas : ndarray
-        Angles in ``[0, pi]``, strictly increasing.
-    xs : ndarray
-        Abscissae ``cos(thetas)`` (strictly decreasing).
-    """
-
-    n: int
-    boundary: BoundaryType
-    thetas: np.ndarray
-    xs: np.ndarray
-
-    @property
-    def circle_count(self) -> int:
-        """Number of distinct points after unfolding to the full circle."""
-        return circle_count(self.n, self.boundary)
-
-
 def circle_count(n: int, boundary: BoundaryType) -> int:
     # an endpoint is its own mirror, every other node unfolds to two points
     return 2 * n - boundary.contains_plus_one - boundary.contains_minus_one
@@ -110,23 +83,6 @@ def grid_spec_from_circle(N: int, half_shift: int) -> tuple[int, BoundaryType]:
     if N < 1 or half_shift not in (0, 1):
         raise ValueError(f"invalid grid spec N={N}, half_shift={half_shift}")
     return (N + 2 - half_shift) // 2, _FAMILY[N % 2, half_shift]
-
-
-def nodes_1d(n: int, boundary: BoundaryType) -> Grid1D:
-    """Build the ``n``-point node set of the given family.
-
-    Angles are returned in increasing order, so ``xs`` runs from ``+1``
-    (or just below) down to ``-1`` (or just above).
-
-    Raises
-    ------
-    ValueError
-        If ``n < 1``, or ``n < 2`` for ``TYPE_I``.
-    """
-    _check_axis_size(n, boundary)
-    p, N = _numerators(n, boundary)
-    thetas = np.pi * p / N
-    return Grid1D(n=n, boundary=boundary, thetas=thetas, xs=np.cos(thetas))
 
 
 def _numerators(n: int, boundary: BoundaryType) -> tuple[np.ndarray, int]:
@@ -272,44 +228,6 @@ def adjoint_dct_axis(functional: np.ndarray, boundary: BoundaryType, axis: int =
     ``C[k, j] = cos(k theta_j)``, so ``A^T u = w * synth(a * u)``.
     """
     return _on_axis(GridDCT.adjoint, np.asarray(functional, dtype=float), boundary, axis)
-
-
-def dct_1d(values: np.ndarray, boundary: BoundaryType) -> np.ndarray:
-    """Coefficients ``c`` with ``f(theta_i) = sum_k c_k cos(k theta_i)``.
-
-    Sampling ``cos(k theta)`` on the grid returns exactly ``e_k`` for
-    every representable ``k`` (including the top type I mode).
-    """
-    values = np.asarray(values, dtype=float)
-    if values.ndim != 1:
-        raise ValueError("dct_1d expects a 1-d sample vector")
-    return dct_axis(values, boundary, axis=0)
-
-
-def idct_1d(coeffs: np.ndarray, boundary: BoundaryType) -> np.ndarray:
-    """Exact inverse of `dct_1d`."""
-    coeffs = np.asarray(coeffs, dtype=float)
-    if coeffs.ndim != 1:
-        raise ValueError("idct_1d expects a 1-d coefficient vector")
-    return idct_axis(coeffs, boundary, axis=0)
-
-
-def dct_typeV(values: np.ndarray, variant: BoundaryType) -> np.ndarray:
-    """Type V analysis transform of the samples reflected to the 2n-1 full-circle
-    points; on an FFT axis, two real lines share one complex FFT of length 2n-1."""
-    if variant not in (BoundaryType.TYPE_V_MINUS, BoundaryType.TYPE_V_PLUS):
-        raise ValueError(f"variant must be a type V family, got {variant}")
-    values = np.asarray(values, dtype=float)
-    if values.size == 0:
-        raise ValueError("empty sample vector")
-    return dct_axis(values, variant)
-
-
-def idct_typeV(coeffs: np.ndarray, variant: BoundaryType) -> np.ndarray:
-    """Synthesis inverse of `dct_typeV`."""
-    if variant not in (BoundaryType.TYPE_V_MINUS, BoundaryType.TYPE_V_PLUS):
-        raise ValueError(f"variant must be a type V family, got {variant}")
-    return idct_axis(coeffs, variant)
 
 
 # Axes up to this length are transformed by a dense matrix product, not an

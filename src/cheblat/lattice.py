@@ -4,8 +4,9 @@ A lattice here is a point set in angle space ``[0, pi]^d`` (mapped to the
 cube through ``x_i = cos(theta_i)``) that is the restriction of a periodic
 lattice on the reflected torus.  Every such point set decomposes into a
 small number of shifted Cartesian grids whose axes are the four node
-families of :mod:`cheblat.dct`; that decomposition is what makes the fast
-transforms possible.
+families of :mod:`cheblat.dct`; that decomposition, which `decompose`
+returns, is what makes the fast transforms possible.  A lattice keeps its
+reciprocal generators as the integer matrix ``lattice.reciprocal.Q``.
 
 Shipped families:
 
@@ -61,7 +62,6 @@ import math
 import numbers
 from collections.abc import Sequence
 from dataclasses import dataclass, field
-from fractions import Fraction
 
 import numpy as np
 
@@ -102,29 +102,10 @@ _MIN_RESOLUTION = {
 
 @dataclass(frozen=True)
 class ReciprocalBasis:
-    """Integer reciprocal-lattice generators (rows of ``Q``).
-
-    The real-space generators are the rows of ``P = 2 pi Q^{-T}``, so
-    ``P Q^T = 2 pi I`` holds exactly.
-    """
+    """Integer reciprocal-lattice generators (rows of ``Q``); the point
+    lattice's real-space generators are the rows of ``P = 2 pi Q^{-T}``."""
 
     Q: np.ndarray
-    scale: int
-
-    def duality_defect(self) -> Fraction:
-        """Max abs deviation of ``P Q^T / (2 pi)`` from identity, exactly."""
-        Q = [[int(v) for v in row] for row in np.asarray(self.Q)]
-        d = len(Q)
-        det = _int_det(Q)
-        adj = _int_adjugate(Q)
-        # P Q^T = 2 pi Q^{-T} Q^T; Q^{-1} = adj / det
-        worst = Fraction(0)
-        for i in range(d):
-            for j in range(d):
-                # (Q^{-T} Q^T)_{ij} = sum_k adj[k][i]/det * Q[j][k]
-                val = sum(Fraction(adj[k][i], det) * Q[j][k] for k in range(d))
-                worst = max(worst, abs(val - (1 if i == j else 0)))
-        return worst
 
 
 def _int_det(M: list[list[int]]) -> int:
@@ -138,18 +119,6 @@ def _int_det(M: list[list[int]]) -> int:
         minor = [[M[r][c] for c in range(d) if c != j] for r in range(1, d)]
         det += (-1) ** j * M[0][j] * _int_det(minor)
     return det
-
-
-def _int_adjugate(M: list[list[int]]) -> list[list[int]]:
-    d = len(M)
-    if d == 1:
-        return [[1]]
-    adj = [[0] * d for _ in range(d)]
-    for i in range(d):
-        for j in range(d):
-            minor = [[M[r][c] for c in range(d) if c != j] for r in range(d) if r != i]
-            adj[j][i] = (-1) ** (i + j) * _int_det(minor)
-    return adj
 
 
 @dataclass(frozen=True, slots=True)
@@ -188,18 +157,8 @@ class CartesianSublattice:
         object.__setattr__(self, "boundaries", tuple(b for _, b in specs))
 
     @property
-    def offset(self) -> tuple[Fraction, ...]:
-        """Per-axis shift as an exact fraction of the grid spacing."""
-        return tuple(Fraction(s, 2) for s in self.shift)
-
-    @property
     def npoints(self) -> int:
         return math.prod(self.counts)
-
-    def axis_theta_fractions(self, axis: int) -> list[Fraction]:
-        """Node angles along one axis as exact fractions of pi."""
-        N = self.circle_counts[axis]
-        return [Fraction(self.shift[axis] + 2 * j, N) for j in range(self.counts[axis])]
 
 
 @dataclass(frozen=True)
@@ -430,9 +389,7 @@ class ChebyshevLattice:
         self.family = family
         self.dim = dim
         self.resolution = resolution
-        self.reciprocal = ReciprocalBasis(
-            Q=_reciprocal_matrix(family, dim, resolution), scale=resolution
-        )
+        self.reciprocal = ReciprocalBasis(Q=_reciprocal_matrix(family, dim, resolution))
         if family is Family.COMPOSITE_OCT7:
             self._grids = _composite_oct7_grids(resolution)
         else:
@@ -462,12 +419,6 @@ class ChebyshevLattice:
         self._slot_base = np.cumsum([0] + [g.npoints for g in self._grids])
         for a in (self.point_thetas, self.points, self._slot_base):
             a.flags.writeable = False
-
-    @property
-    def point_fractions(self) -> list[tuple[Fraction, ...]]:
-        """Node angles as exact fractions of pi, computed on each access."""
-        return [row for g in self._grids
-                for row in itertools.product(*map(g.axis_theta_fractions, range(self.dim)))]
 
     # ------------------------------------------------------------- basis
 
@@ -688,9 +639,6 @@ class ChebyshevLattice:
 
     # ----------------------------------------------------------- queries
 
-    def sublattices(self) -> list[CartesianSublattice]:
-        return list(self._grids)
-
     @property
     def cell_point_count(self) -> int:
         """Points per unit cell of the translation lattice (1 for Cartesian,
@@ -762,10 +710,6 @@ def build(family: Family | str, dim: int, resolution: int) -> ChebyshevLattice:
     return ChebyshevLattice(family, dim, resolution)
 
 
-def reciprocal_basis(lattice: ChebyshevLattice) -> ReciprocalBasis:
-    return lattice.reciprocal
-
-
 def decompose(lattice: ChebyshevLattice) -> list[CartesianSublattice]:
     """The lattice's disjoint shifted Cartesian grids.
 
@@ -773,11 +717,7 @@ def decompose(lattice: ChebyshevLattice) -> list[CartesianSublattice]:
     the composite octagonal lattice yields its four maximal grids (seven
     points per unit cell, see `ChebyshevLattice.cell_point_count`).
     """
-    return lattice.sublattices()
-
-
-def basis_indices(lattice: ChebyshevLattice) -> list[BasisEntry]:
-    return list(lattice.basis)
+    return list(lattice._grids)
 
 
 def aliasing_class(lattice: ChebyshevLattice, k) -> tuple[tuple[int, ...], list[tuple[int, ...]]]:
@@ -1020,8 +960,8 @@ def lattice_descriptor(lattice: ChebyshevLattice) -> str:
             "npoints": lattice.npoints}
     subs = [
         {"counts": list(s.counts), "boundaries": [b.value for b in s.boundaries],
-         "offset": [float(o) for o in s.offset]}
-        for s in lattice.sublattices()
+         "offset": [a / 2 for a in s.shift]}
+        for s in lattice._grids
     ]
     starts, members = lattice._entry_starts, lattice._members
     int_row = "[" + ", ".join(["%d"] * d) + "]"

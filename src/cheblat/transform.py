@@ -169,13 +169,6 @@ def dense_oracle(lattice: ChebyshevLattice, samples) -> np.ndarray:
     return np.linalg.solve(V, samples.T).T
 
 
-def dense_condition(lattice: ChebyshevLattice) -> float:
-    """Condition number of the dense collocation matrix."""
-    if lattice.npoints > 2000:
-        raise TransformError("dense oracle limited to 2000 points")
-    return float(np.linalg.cond(lattice.basis_matrix(lattice.point_thetas)))
-
-
 # ------------------------------------------------------------------- CSV
 
 
@@ -239,13 +232,12 @@ def coefficients_to_csv(lattice: ChebyshevLattice, coeffs) -> str:
 
 
 def coefficients_from_csv(lattice: ChebyshevLattice, text: str) -> np.ndarray:
-    """Inverse of `coefficients_to_csv`; index columns must match the basis."""
+    """Inverse of `coefficients_to_csv`; index columns must equal the basis's
+    canonical indices as numbers (``2.0`` is 2; ``0.9`` matches no index)."""
     d = lattice.dim
     index, values = _parse_rows(text, len(lattice.basis), d + 1, "coefficient")
     canon = _canonical_indices(lattice)
-    with np.errstate(invalid="ignore"):  # NaN/Inf cast to a garbage index: no match
-        idx = index.astype(np.int64)  # truncates as int(float(field))
-    match = (idx == canon).all(axis=1)
+    match = (index == canon).all(axis=1)  # exact: 2.0 equals 2; 0.9, NaN and Inf no index
     if not match.all():
         i = int(np.argmin(match))
         raise TransformError(

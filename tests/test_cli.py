@@ -61,7 +61,7 @@ def test_help_lists_flags():
         "bench-interp": ("--families", "--dim", "--resolutions", "--function", "--trials",
                          "--seed", "--metric", "--budget", "--svg", "--out"),
         "bench-quad": ("--families", "--dim", "--resolutions", "--function", "--trials",
-                       "--seed", "--metric", "--budget", "--svg", "--out"),
+                       "--seed", "--svg", "--out"),
         "lebesgue": ("--family", "--dim", "--resolution", "--probe-density", "--out"),
     }
     for sub, flags in expected_flags.items():
@@ -69,6 +69,9 @@ def test_help_lists_flags():
         assert rc == 0, sub
         for flag in flags:
             assert flag in out, (sub, flag)
+        if sub == "bench-quad":
+            # the quadrature error needs no sample points, so no metric or budget
+            assert "--metric" not in out and "--budget" not in out
 
 
 def test_integrate_constant(tmp_path):
@@ -183,6 +186,15 @@ def test_bench_quad_rejects_runge(capsys):
     capsys.readouterr()
     assert main(["bench-interp", *args, "--function", "runge", "--budget", "500"]) == 0
     assert capsys.readouterr().out.startswith("family,dim,resolution,")
+
+
+def test_bench_quad_rejects_metric_and_budget(capsys):
+    args = ("--families", "cartesian", "--dim", "2", "--resolutions", "3", "--trials", "1")
+    for flag, value in (("--metric", "l2-grid"), ("--budget", "500")):
+        with pytest.raises(SystemExit) as exc:
+            main(["bench-quad", *args, flag, value])
+        assert exc.value.code == 2
+        assert f"unrecognized arguments: {flag} {value}" in capsys.readouterr().err
 
 
 def test_bench_interp_svg(tmp_path):

@@ -8,14 +8,11 @@ from cheblat.dct import (
     GridDCT,
     adjoint_dct_nd,
     circle_count,
-    dct_1d,
+    dct_axis,
     dct_nd,
-    dct_typeV,
     grid_spec_from_circle,
-    idct_1d,
+    idct_axis,
     idct_nd,
-    idct_typeV,
-    nodes_1d,
 )
 import oracles
 from oracles import dct_nd_oracle, dct_oracle, synthesis_nd_oracle, synthesis_oracle
@@ -41,23 +38,26 @@ def min_n(boundary):
     return 2 if boundary is BoundaryType.TYPE_I else 1
 
 
+def _thetas(n, boundary):
+    """Node angles by the rule the lattices use, ``pi p_j / N`` from `_numerators`."""
+    p, N = dct._numerators(n, boundary)
+    return np.pi * p / N
+
+
 # ---------------------------------------------------------------- nodes
 
 
 def test_nodes_type_i_three_points():
-    grid = nodes_1d(3, BoundaryType.TYPE_I)
-    assert np.allclose(grid.xs, [1.0, 0.0, -1.0], atol=1e-15)
+    assert np.allclose(np.cos(_thetas(3, BoundaryType.TYPE_I)), [1.0, 0.0, -1.0], atol=1e-15)
 
 
 def test_nodes_type_ii_two_points():
-    grid = nodes_1d(2, BoundaryType.TYPE_II)
     r = np.sqrt(2) / 2
-    assert np.allclose(grid.xs, [r, -r], atol=1e-15)
+    assert np.allclose(np.cos(_thetas(2, BoundaryType.TYPE_II)), [r, -r], atol=1e-15)
 
 
 def test_nodes_v_minus_single_point():
-    grid = nodes_1d(1, BoundaryType.TYPE_V_MINUS)
-    assert grid.xs.tolist() == [1.0]
+    assert np.cos(_thetas(1, BoundaryType.TYPE_V_MINUS)).tolist() == [1.0]
 
 
 @pytest.mark.parametrize("boundary", ALL_TYPES)
@@ -65,21 +65,22 @@ def test_nodes_v_minus_single_point():
 def test_node_invariants(boundary, n):
     if n < min_n(boundary):
         pytest.skip("below family minimum")
-    grid = nodes_1d(n, boundary)
-    assert np.all(np.diff(grid.thetas) > 0)
-    assert np.allclose(grid.xs, np.cos(grid.thetas))
-    assert grid.thetas[0] >= 0 and grid.thetas[-1] <= np.pi + 1e-15
-    has_plus = np.isclose(grid.xs, 1.0).any()
-    has_minus = np.isclose(grid.xs, -1.0).any()
+    thetas = _thetas(n, boundary)
+    assert _same(thetas, oracles.nodes_1d_oracle(n, boundary))
+    assert np.all(np.diff(thetas) > 0)
+    assert thetas[0] >= 0 and thetas[-1] <= np.pi + 1e-15
+    xs = np.cos(thetas)
+    has_plus = np.isclose(xs, 1.0).any()
+    has_minus = np.isclose(xs, -1.0).any()
     assert has_plus == boundary.contains_plus_one
     assert has_minus == boundary.contains_minus_one
 
 
 def test_node_count_validation():
     with pytest.raises(ValueError):
-        nodes_1d(1, BoundaryType.TYPE_I)
+        GridDCT((1,), (BoundaryType.TYPE_I,))
     with pytest.raises(ValueError):
-        nodes_1d(0, BoundaryType.TYPE_II)
+        GridDCT((0,), (BoundaryType.TYPE_II,))
 
 
 @pytest.mark.parametrize("boundary", ALL_TYPES)
@@ -105,7 +106,7 @@ def test_family_helpers_match_per_family_definitions(boundary):
     # definitions it replaced, over every valid node count below 300
     assert boundary.contains_plus_one == oracles.contains_plus_one_oracle(boundary)
     assert boundary.contains_minus_one == oracles.contains_minus_one_oracle(boundary)
-    pairs = [(lambda n, b: nodes_1d(n, b).thetas, oracles.nodes_1d_oracle),
+    pairs = [(_thetas, oracles.nodes_1d_oracle),
              (circle_count, oracles.circle_count_oracle),
              (dct.analysis_prefactor, oracles.analysis_prefactor_oracle),
              (dct.node_weights, oracles.node_weights_oracle),
@@ -135,17 +136,16 @@ def test_grid_spec_matches_per_family_definition():
 def test_constant_maps_to_e0():
     for boundary in ALL_TYPES:
         n = 6 if boundary is not BoundaryType.TYPE_I else 6
-        c = dct_1d(np.ones(n), boundary)
+        c = dct_axis(np.ones(n), boundary)
         expect = np.zeros(n)
         expect[0] = 1.0
         assert np.allclose(c, expect, atol=1e-14), boundary
 
 
 def test_cos_2theta_type_i_n5_matches_oracle():
-    grid = nodes_1d(5, BoundaryType.TYPE_I)
-    samples = np.cos(2 * grid.thetas)
+    samples = np.cos(2 * _thetas(5, BoundaryType.TYPE_I))
     expected = dct_oracle(samples, BoundaryType.TYPE_I)
-    got = dct_1d(samples, BoundaryType.TYPE_I)
+    got = dct_axis(samples, BoundaryType.TYPE_I)
     assert np.allclose(got, expected, atol=1e-13)
     assert np.allclose(got, np.eye(5)[2], atol=1e-13)
 
@@ -155,17 +155,17 @@ def test_cos_2theta_type_i_n5_matches_oracle():
 def test_exact_cosine_recovery(boundary, n):
     if n < min_n(boundary):
         pytest.skip("below family minimum")
-    grid = nodes_1d(n, boundary)
+    thetas = _thetas(n, boundary)
     for k in range(n):
-        c = dct_1d(np.cos(k * grid.thetas), boundary)
+        c = dct_axis(np.cos(k * thetas), boundary)
         assert np.allclose(c, np.eye(n)[k], atol=1e-12), (boundary, n, k)
 
 
 def test_type_i_top_mode_unit():
     # the self-paired circle mode k = n-1 must still come back with weight 1
     for n in (2, 5, 10):
-        grid = nodes_1d(n, BoundaryType.TYPE_I)
-        c = dct_1d(np.cos((n - 1) * grid.thetas), BoundaryType.TYPE_I)
+        thetas = _thetas(n, BoundaryType.TYPE_I)
+        c = dct_axis(np.cos((n - 1) * thetas), BoundaryType.TYPE_I)
         assert abs(c[-1] - 1.0) < 1e-13
 
 
@@ -174,7 +174,7 @@ def test_matches_summation_oracle(boundary):
     rng = np.random.default_rng(42)
     for n in (min_n(boundary), 4, 11):
         v = rng.standard_normal(n)
-        assert np.allclose(dct_1d(v, boundary), dct_oracle(v, boundary), atol=1e-12)
+        assert np.allclose(dct_axis(v, boundary), dct_oracle(v, boundary), atol=1e-12)
 
 
 @pytest.mark.parametrize("boundary", ALL_TYPES)
@@ -184,7 +184,7 @@ def test_round_trip_all_sizes(boundary, n):
         pytest.skip("below family minimum")
     rng = np.random.default_rng(n)
     v = rng.standard_normal(n)
-    back = idct_1d(dct_1d(v, boundary), boundary)
+    back = idct_axis(dct_axis(v, boundary), boundary)
     assert np.max(np.abs(back - v)) < 1e-12 * max(1.0, np.max(np.abs(v)))
 
 
@@ -202,22 +202,20 @@ def test_linearity(n, seed, ab):
     v = rng.standard_normal(n)
     alpha, beta = ab
     for boundary in ALL_TYPES:
-        lhs = dct_1d(alpha * u + beta * v, boundary)
-        rhs = alpha * dct_1d(u, boundary) + beta * dct_1d(v, boundary)
+        lhs = dct_axis(alpha * u + beta * v, boundary)
+        rhs = alpha * dct_axis(u, boundary) + beta * dct_axis(v, boundary)
         assert np.allclose(lhs, rhs, atol=1e-9)
 
 
 def test_rejects_nonfinite():
     bad = np.array([1.0, np.nan, 0.0])
     with pytest.raises(ValueError):
-        dct_1d(bad, BoundaryType.TYPE_II)
+        dct_axis(bad, BoundaryType.TYPE_II)
     with pytest.raises(ValueError):
         dct_nd(np.array([[np.inf, 0.0], [0.0, 0.0]]), (BoundaryType.TYPE_I,) * 2)
 
 
 def test_rejects_wrong_shape():
-    with pytest.raises(ValueError):
-        dct_1d(np.ones((3, 3)), BoundaryType.TYPE_I)
     with pytest.raises(ValueError):
         dct_nd(np.ones((3, 3)), (BoundaryType.TYPE_I,))
 
@@ -226,15 +224,14 @@ def test_rejects_wrong_shape():
 
 
 def test_type_v_constant():
-    assert np.allclose(dct_typeV(np.ones(5), BoundaryType.TYPE_V_MINUS), np.eye(5)[0], atol=1e-14)
-    assert np.allclose(dct_typeV(np.ones(5), BoundaryType.TYPE_V_PLUS), np.eye(5)[0], atol=1e-14)
+    assert np.allclose(dct_axis(np.ones(5), BoundaryType.TYPE_V_MINUS), np.eye(5)[0], atol=1e-14)
+    assert np.allclose(dct_axis(np.ones(5), BoundaryType.TYPE_V_PLUS), np.eye(5)[0], atol=1e-14)
 
 
 def test_type_v_cos_theta_n4():
-    grid = nodes_1d(4, BoundaryType.TYPE_V_MINUS)
-    samples = np.cos(grid.thetas)
+    samples = np.cos(_thetas(4, BoundaryType.TYPE_V_MINUS))
     expected = dct_oracle(samples, BoundaryType.TYPE_V_MINUS)
-    got = dct_typeV(samples, BoundaryType.TYPE_V_MINUS)
+    got = dct_axis(samples, BoundaryType.TYPE_V_MINUS)
     assert np.allclose(got, expected, atol=1e-13)
     assert np.allclose(got, np.eye(4)[1], atol=1e-13)
 
@@ -245,13 +242,8 @@ def test_type_v_round_trip(n, seed):
     rng = np.random.default_rng(seed)
     v = rng.standard_normal(n)
     for variant in V_TYPES:
-        back = idct_typeV(dct_typeV(v, variant), variant)
+        back = idct_axis(dct_axis(v, variant), variant)
         assert np.max(np.abs(back - v)) < 1e-12 * max(1.0, np.max(np.abs(v)))
-
-
-def test_type_v_rejects_wrong_variant():
-    with pytest.raises(ValueError):
-        dct_typeV(np.ones(3), BoundaryType.TYPE_I)
 
 
 # ------------------------------------------------------------------- nd
@@ -265,8 +257,8 @@ def test_nd_constant():
 
 
 def test_nd_product_cosine_5x5():
-    grid = nodes_1d(5, BoundaryType.TYPE_I)
-    t1, t2 = np.meshgrid(grid.thetas, grid.thetas, indexing="ij")
+    thetas = _thetas(5, BoundaryType.TYPE_I)
+    t1, t2 = np.meshgrid(thetas, thetas, indexing="ij")
     samples = np.cos(t1) * np.cos(2 * t2)
     expected = dct_nd_oracle(samples, (BoundaryType.TYPE_I,) * 2)
     got = dct_nd(samples, (BoundaryType.TYPE_I,) * 2)
@@ -369,7 +361,7 @@ def test_grid_dct_dense_unit_recovery(kind):
     n = 9
     op = GridDCT((n, n), (kind, kind))
     assert not op._dctn and not op._type_v
-    thetas = nodes_1d(n, kind).thetas
+    thetas = _thetas(n, kind)
     for k in range(n):
         tensor = np.multiply.outer(np.cos(k * thetas), np.cos((n - 1 - k) * thetas))
         expect = np.zeros((n, n))
@@ -414,14 +406,14 @@ def test_fft_scaling_soft():
     n = 2**14
     lines = [np.random.default_rng(0).standard_normal(m) for m in (n, 2 * n)]
     for v in lines:
-        dct_1d(v, BoundaryType.TYPE_II)  # warm up
+        dct_axis(v, BoundaryType.TYPE_II)  # warm up
     # best of 5 per size, timed in alternation, so that a burst of load
     # slows both sizes rather than one
     best = [np.inf, np.inf]
     for _ in range(5):
         for i, v in enumerate(lines):
             t0 = time.perf_counter()
-            dct_1d(v, BoundaryType.TYPE_II)
+            dct_axis(v, BoundaryType.TYPE_II)
             best[i] = min(best[i], time.perf_counter() - t0)
     t1, t2 = best
     assert t2 / t1 <= 2.6

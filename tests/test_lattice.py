@@ -11,11 +11,18 @@ import pytest
 from cheblat import lattice as lat
 from cheblat.dct import BoundaryType
 from oracles import (alias_search, basis_oracle, boundary_degree_oracle,
-                     lattice_descriptor_oracle)
+                     lattice_descriptor_oracle, point_fractions_oracle)
 
 BRAVAIS_2D = [("cartesian", 2), ("padua", 2), ("hex", 2)]
 BRAVAIS_3D = [("bcc", 3), ("fcc", 3)]
 ALL_FAMILIES = BRAVAIS_2D + BRAVAIS_3D + [("composite-oct7", 2)]
+
+
+def point_fractions(L):
+    """`point_fractions_oracle`, checked against the lattice's own angles."""
+    fracs = point_fractions_oracle(L)
+    assert np.array_equal(np.pi * np.array(fracs, dtype=float), L.point_thetas)
+    return fracs
 
 
 def small_resolutions(family):
@@ -60,7 +67,7 @@ def test_classical_padua_point_set():
         for i in range(n + 2):
             if (i + j) % 2 == 0:
                 expect.add((Fraction(j, n), Fraction(i, n + 1)))
-    got = set(L.point_fractions)
+    got = set(point_fractions(L))
     assert got == expect
 
 
@@ -129,7 +136,7 @@ def test_points_in_cube_and_distinct(family, dim):
     for res in small_resolutions(family):
         L = lat.build(family, dim, res)
         assert np.all(np.abs(L.points) <= 1.0 + 1e-15)
-        assert len(set(L.point_fractions)) == L.npoints
+        assert len(set(point_fractions(L))) == L.npoints
         assert len(L.basis) == L.npoints
 
 
@@ -142,7 +149,7 @@ def test_sublattice_grids_consistent(family, dim):
         for s in subs:
             for ax, b in enumerate(s.boundaries):
                 N = s.circle_counts[ax]
-                shift = int(2 * s.offset[ax])
+                shift = s.shift[ax]
                 if b is BoundaryType.TYPE_I:
                     assert N % 2 == 0 and shift == 0
                 elif b is BoundaryType.TYPE_II:
@@ -159,7 +166,7 @@ def test_sublattice_grids_consistent(family, dim):
 def _full_torus_fracs(L):
     """Point set unfolded to the full torus, as exact fractions mod 2."""
     pts = set()
-    for row in L.point_fractions:
+    for row in point_fractions(L):
         for signs in itertools.product((1, -1), repeat=L.dim):
             pts.add(tuple((s * f) % 2 for s, f in zip(signs, row)))
     return pts
@@ -201,12 +208,8 @@ def test_bravais_decomposition_theorem(family, dim, res):
     assert 2**m == len(subs)
     assert m <= dim - 1
     # union of the tensor grids equals the point set exactly, disjointly
-    union = []
-    for s in subs:
-        axes = [s.axis_theta_fractions(ax) for ax in range(dim)]
-        union.extend(itertools.product(*axes))
+    union = point_fractions(L)
     assert len(union) == len(set(union)) == L.npoints
-    assert set(union) == set(L.point_fractions)
 
 
 def test_composite_decomposition():
@@ -230,9 +233,20 @@ def test_composite_decomposition():
 
 
 def test_reciprocal_duality_exact():
+    # the points unfolded to the full torus are the real-space lattice
+    # P = 2 pi Q^{-T} (seven cosets of it for composite-oct7): closed under its
+    # generators, |det Q| points per coset
     for family, dim in ALL_FAMILIES:
         L = lat.build(family, dim, small_resolutions(family)[1])
-        assert lat.reciprocal_basis(L).duality_defect() == 0
+        Q = L.reciprocal.Q
+        det = round(np.linalg.det(Q))
+        adj_t = np.rint(det * np.linalg.inv(Q).T).astype(np.int64)  # det Q^{-T}
+        assert np.array_equal(Q.T @ adj_t, det * np.eye(dim, dtype=np.int64))
+        P = [[Fraction(2 * int(v), det) for v in row] for row in adj_t]  # rows of P / pi
+        pts = _full_torus_fracs(L)
+        assert len(pts) == abs(det) * (7 if family == "composite-oct7" else 1), family
+        for p in P:
+            assert {tuple((a + b) % 2 for a, b in zip(x, p)) for x in pts} == pts, family
 
 
 def test_reciprocal_generators():
@@ -337,7 +351,7 @@ def test_bcc_tie_combination():
 def test_brillouin_union_m1_cartesian_box():
     # first zone of 8 Z^2 in the quadrant: the box {0..4}^2, with the
     # k = 4 faces flagged as zone-boundary ties (the shift by -8 ties)
-    recip = lat.ReciprocalBasis(Q=np.eye(2, dtype=np.int64) * 8, scale=1)
+    recip = lat.ReciprocalBasis(Q=np.eye(2, dtype=np.int64) * 8)
     indices, ties = lat.brillouin_union(recip, 1)
     inside = {k for k, t in zip(indices, ties) if not t}
     boundary = {k for k, t in zip(indices, ties) if t}
@@ -350,7 +364,7 @@ def test_brillouin_union_area_counting():
     # fine exhaustive grid count over the full plane
     N = 4
     m = 7
-    recip = lat.ReciprocalBasis(Q=np.eye(2, dtype=np.int64) * N, scale=1)
+    recip = lat.ReciprocalBasis(Q=np.eye(2, dtype=np.int64) * N)
     ells = lat._lattice_elements_within(np.eye(2, dtype=np.int64) * N, 6.0 * N)
     h = 0.05
     span = np.arange(-2.0 * N, 2.0 * N, h) + h / 2
@@ -371,7 +385,7 @@ def test_brillouin_union_oct7_is_octagon():
     # the 7th union of an equal-aspect Cartesian reciprocal: an irregular
     # octagon reaching 1.5 N on the axes and sqrt(2) N on the diagonals
     N = 8
-    recip = lat.ReciprocalBasis(Q=np.eye(2, dtype=np.int64) * N, scale=1)
+    recip = lat.ReciprocalBasis(Q=np.eye(2, dtype=np.int64) * N)
     indices, ties = lat.brillouin_union(recip, 7)
     got = set(indices)
     assert (int(1.5 * N) - 1, 0) in got
@@ -384,7 +398,7 @@ def test_composite_basis_matches_brillouin_union():
     L = lat.build("composite-oct7", 2, 2)
     N = 2 * L.resolution
     members = {m for e in L.basis for m in e.members}
-    indices, ties = lat.brillouin_union(lat.ReciprocalBasis(Q=np.eye(2, dtype=np.int64) * N, scale=1), 7)
+    indices, ties = lat.brillouin_union(lat.ReciprocalBasis(Q=np.eye(2, dtype=np.int64) * N), 7)
     strict = {k for k, t in zip(indices, ties) if not t}
     assert strict <= members
 

@@ -120,6 +120,31 @@ def test_readers_convert_each_spelling_of_a_coordinate_exactly():
                           _bits(samples_from_csv_oracle(L, text)))
 
 
+@pytest.mark.parametrize("field", ["0.9", "-0.9"])
+def test_coefficient_reader_rejects_a_non_integer_index(field):
+    # row 1 of padua r=3 is index (0, 1); truncation would read 0.9 as 0
+    L = lat.build("padua", 2, 3)
+    lines = tf.coefficients_to_csv(L, np.ones(len(L.basis))).splitlines()
+    assert lines[1].startswith("0,1,")
+    lines[1] = field + lines[1][1:]
+    with pytest.raises(tf.TransformError,
+                       match=rf"^coefficient row 1 index \({field}0+2, 1\) does not match "
+                             r"basis \(0, 1\)$"):
+        tf.coefficients_from_csv(L, "\n".join(lines) + "\n")
+
+
+@pytest.mark.parametrize("field", ["2.0", "2e0", "+2.00"])
+def test_coefficient_reader_accepts_integer_valued_index_spellings(field):
+    L = lat.build("padua", 2, 3)
+    coeffs = _values(len(L.basis), 6)
+    lines = tf.coefficients_to_csv(L, coeffs).splitlines()
+    assert lines[4].startswith("0,2,")
+    lines[4] = "0," + field + lines[4][3:]
+    text = "\n".join(lines) + "\n"
+    assert np.array_equal(_bits(tf.coefficients_from_csv(L, text)), _bits(coeffs))
+    assert np.array_equal(_bits(coefficients_from_csv_oracle(L, text)), _bits(coeffs))
+
+
 def test_eval_lines_match_per_cell_reference(tmp_path):
     L = lat.build("bcc", 3, 3)
     coeffs = _values(len(L.basis), 5) % 1.0
