@@ -44,8 +44,7 @@ def main() -> None:
 
     for dim, sweep in SWEEPS.items():
         config = bench.ExperimentConfig(
-            sweep=sweep, dim=dim, kind=args.function, trials=args.trials,
-            seed=args.seed, metric="integral-relative",
+            sweep=sweep, dim=dim, kind=args.function, trials=args.trials, seed=args.seed,
         )
         records = bench.run_quad_convergence(config)
         csv_path = outdir / f"quad_{args.function}_{dim}d.csv"

@@ -30,14 +30,18 @@ is an exact inverse.  This "unit recovery" convention makes round trips and
 unisolvency checks crisp; it differs from an orthonormal DCT by diagonal
 factors only.
 
-Types I and II are computed with :mod:`scipy.fft`; the type V transforms,
-which common FFT packages do not provide, reflect each line to its ``2n - 1``
-full-circle points, where it is real and even, and pack two such lines into
-one complex FFT of length ``2n - 1`` as its real and imaginary parts.
-`GridDCT` is the planned n-d operator (forward, inverse and adjoint of one tensor-product
-grid, by dense matrix products on short axes); `dct_nd`, `idct_nd` and
-`adjoint_dct_nd` are thin checked calls to it, and the transforms in
-:mod:`cheblat.transform` hold one per sublattice.
+`GridDCT` is the planned n-d operator: forward, inverse and adjoint of one
+tensor-product grid.  It transforms an axis by a dense cosine-matrix product
+up to a per-family node count (`_DENSE_MAX`), and longer axes by FFT.  Long
+type I and II axes go through :mod:`scipy.fft`'s DCTs.  Common FFT packages
+provide no type V transform, and its FFT is slow for the Padua axis lengths
+(the circle count ``2n - 1`` is 257, a prime, at ``n = 129``), so type V axes
+stay dense up to 256 nodes.  A longer type V axis reflects each line to its
+``2n - 1`` full-circle points, where it is real and even, and packs two such
+lines into one complex FFT of length ``2n - 1`` as its real and imaginary
+parts.  `dct_nd`, `idct_nd` and `adjoint_dct_nd` are thin checked calls to
+`GridDCT`, and the transforms in :mod:`cheblat.transform` hold one per
+sublattice.
 """
 
 from __future__ import annotations
@@ -230,23 +234,36 @@ def adjoint_dct_axis(functional: np.ndarray, boundary: BoundaryType, axis: int =
     return _on_axis(GridDCT.adjoint, np.asarray(functional, dtype=float), boundary, axis)
 
 
-# Axes up to this length are transformed by a dense matrix product, not an
-# FFT, whose fixed cost per call and per line dominates on short axes.  The
-# benchmark's transform rounds get faster as the cut rises, but the dense cost
-# per point grows linearly in n: above 20 the n log n fit of the forward
-# transform over bcc r=24..100 nears its bound, and from n = 23 an n^3 grid's
-# n^4 product passes OpenBLAS's threading threshold (10x slower at n = 32).
-_DENSE_MAX = 20
+# Axes of up to ``_DENSE_MAX[family]`` nodes are transformed by a dense matrix
+# product, not an FFT, whose fixed cost per call and per line dominates on
+# short axes.  Types I and II stop at 20: the benchmark's transform rounds get
+# faster as the cut rises, but the dense cost per point grows linearly in n:
+# above 20 the n log n fit of the forward transform over bcc r=24..100 nears
+# its bound, and from n = 23 an n^3 grid's n^4 product passes OpenBLAS's
+# threading threshold (10x slower at n = 32).  A type V FFT also pays for
+# reflect, pack, unpack and phase passes and runs at the length 2n - 1, which
+# is awkward for Padua's n = 2^k + 1 (257 is prime), so the dense product
+# stays faster much longer.  `scripts/dct_crossover.py` times both routes on
+# forward, inverse and adjoint of 2-d and 3-d grids, with the type V axis
+# first, in the middle and last; on a 2-vCPU x86-64 host (OpenBLAS 0.3.31)
+# dense/FFT read 0.04-0.48 for n = 21..129, 0.23-0.61 at n = 256, 0.34-0.77
+# at 257 and 0.36-0.85 at 513.  With one BLAS thread it read up to 0.61 at
+# n = 256, 0.99 at 257 and 1.43 at 513.  The type V cut of 256 keeps one
+# matrix within 8 * 256^2 bytes = 512 KB (two per dense axis); longer axes
+# keep the packed FFT, with bounded memory and O(n log n) cost.
+_DENSE_MAX = {BoundaryType.TYPE_I: 20, BoundaryType.TYPE_II: 20,
+              BoundaryType.TYPE_V_MINUS: 256, BoundaryType.TYPE_V_PLUS: 256}
 
 
 def _cosine_matrix(n: int, boundary: BoundaryType) -> np.ndarray:
     """``C[k, j] = cos(k theta_j)``, with the angle reduced exactly mod ``2 pi``.
 
     ``theta_j = pi p_j / q`` for integers ``p_j, q``, so ``k theta_j`` is
-    reduced as the integer ``k p_j mod 2q`` before the cosine is taken.
+    reduced as the integer ``m = k p_j mod 2q``, and ``C[k, j]`` is gathered
+    from the ``2q`` values ``cos(pi m / q)``.
     """
     p, q = _numerators(n, boundary)
-    return np.cos(np.pi * (np.outer(np.arange(n), p) % (2 * q)) / q)
+    return np.cos(np.pi * np.arange(2 * q) / q)[np.outer(np.arange(n), p) % (2 * q)]
 
 
 def _dense_axis(values: np.ndarray, matrix: np.ndarray, axis: int) -> np.ndarray:
@@ -263,11 +280,11 @@ class GridDCT:
 
     ``forward``, ``inverse`` and ``adjoint`` compute `dct_nd`, `idct_nd`
     and `adjoint_dct_nd` over the last ``len(sizes)`` axes of their input,
-    without their input checks; any leading axes are a batch.  Axes of
-    length up to ``_DENSE_MAX`` are transformed by a dense matrix product
-    with their scale factors folded in.  On longer axes, all type I axes go
-    through one ``dctn`` call and all type II axes through another; type V
-    axes are transformed one at a time.  The matrices and the diagonal
+    without their input checks; any leading axes are a batch.  Axes of up
+    to ``_DENSE_MAX[family]`` nodes are transformed by a dense matrix
+    product with their scale factors folded in.  On longer axes, all type I
+    axes go through one ``dctn`` call and all type II axes through another;
+    type V axes are transformed one at a time.  The matrices and the diagonal
     scale tensors are built here, once, and are read-only, so one operator
     can serve any number of threads.
     """
@@ -288,7 +305,7 @@ class GridDCT:
         self.sizes = sizes
         self.boundaries = boundaries
         ndim = len(sizes)
-        dense = tuple(n <= _DENSE_MAX for n in sizes)
+        dense = tuple(n <= _DENSE_MAX[b] for n, b in zip(sizes, boundaries))
         a = [analysis_prefactor(n, b) for n, b in zip(sizes, boundaries)]
         w = [node_weights(n, b) for n, b in zip(sizes, boundaries)]
         # (axis, analysis diag(a) C diag(w), synthesis C^T, adjoint: the

@@ -242,7 +242,6 @@ def test_criterion_8_convergence_ordering():
         kind="gaussian",
         trials=50,
         seed=2026,
-        metric="integral-relative",
     )
     records = bench.run_quad_convergence(config)
     bcc = sorted((r for r in records if r.family == "bcc"), key=lambda r: r.npoints)

@@ -48,6 +48,9 @@ def test_config_validation():
         bench.ExperimentConfig(sweep={"padua": (2,)}, dim=2, trials=0)
     with pytest.raises(bench.BenchError):
         bench.ExperimentConfig(sweep={"padua": (2,)}, dim=2, metric="bogus")
+    # quadrature runs read no metric, so there is no quadrature metric to name
+    with pytest.raises(bench.BenchError, match="unknown metric 'integral-relative'"):
+        bench.ExperimentConfig(sweep={"padua": (2,)}, dim=2, metric="integral-relative")
     with pytest.raises(bench.BenchError):
         bench.ExperimentConfig(sweep={"padua": (2,)}, dim=4)
 
@@ -145,7 +148,6 @@ def test_quad_records_and_gl_comparator():
     cfg = _config(
         sweep={"padua": (2, 4), "gauss-legendre": (2, 3)},
         trials=2,
-        metric="integral-relative",
     )
     records = bench.run_quad_convergence(cfg)
     fams = [r.family for r in records]
@@ -186,7 +188,7 @@ def test_entire_function_rate_elbow_3d():
     # reduction is present (qualitative, fixed seed)
     cfg = bench.ExperimentConfig(
         sweep={"bcc": (6, 8, 16, 18, 20)},
-        dim=3, kind="gaussian", trials=6, seed=5, metric="integral-relative",
+        dim=3, kind="gaussian", trials=6, seed=5,
     )
     records = sorted(bench.run_quad_convergence(cfg), key=lambda r: r.resolution)
     deg = np.array([r.euclidean_degree for r in records])

@@ -103,7 +103,9 @@ def _same(got, ref):
 @pytest.mark.parametrize("boundary", ALL_TYPES)
 def test_family_helpers_match_per_family_definitions(boundary):
     # one theta_j = pi (2j + s) / N rule against the branch-per-family
-    # definitions it replaced, over every valid node count below 300
+    # definitions it replaced, over every valid node count below 300; the
+    # cosine matrix, gathered from a table of cos(pi m / q), must equal the
+    # oracle's elementwise cosines bit for bit (every dense axis is below 300)
     assert boundary.contains_plus_one == oracles.contains_plus_one_oracle(boundary)
     assert boundary.contains_minus_one == oracles.contains_minus_one_oracle(boundary)
     pairs = [(_thetas, oracles.nodes_1d_oracle),
@@ -327,23 +329,43 @@ PACKED_V = [
     for variant in V_TYPES
 ]
 
-# grids with axes on both sides of the dense/FFT cut, and the mixes above
-CUT = dct._DENSE_MAX
+# grids with axes on both sides of the type I/II dense/FFT cut, the mixes
+# above, and type V axes of VCUT and VCUT + 1 nodes (the type V cut), first,
+# in the middle and last
+CUT = dct._DENSE_MAX[I]
+VCUT = dct._DENSE_MAX[VM]
 DENSE_AND_FFT = MIXED_3D + PACKED_V + [
     ((CUT + 2, 3, CUT + 1), (I, II, VM)),
     ((2, CUT + 3, 4), (I, VP, II)),
     ((CUT + 4, CUT + 1), (II, VP)),
     ((CUT + 2, CUT + 5), (I, I)),
+] + [
+    (shape, tuple(variant if k is V else k for k in kinds))
+    for n in (VCUT, VCUT + 1)
+    for shape, kinds in [((n, 2), (V, II)), ((2, n, 3), (I, V, II)), ((3, n), (II, V))]
+    for variant in V_TYPES
 ]
 
 
 @pytest.mark.parametrize("shape,kinds", DENSE_AND_FFT)
-@pytest.mark.parametrize("dense_max", [0, dct._DENSE_MAX, 64])
+@pytest.mark.parametrize("dense_max", [0, CUT, 64, VCUT + 1])
 def test_grid_dct_dense_and_fft_axes_match_oracles(monkeypatch, shape, kinds, dense_max):
-    # dense_max 0 forces every axis through the FFT, 64 every axis through
-    # the dense product; the default splits the long grids above
-    monkeypatch.setattr(dct, "_DENSE_MAX", dense_max)
+    # the whole per-family table is patched: 0 forces every axis through the
+    # FFT, 64 cuts every family at 64 (so the 129-node type V axes above take
+    # the packed FFT beside dense axes), VCUT + 1 forces every axis through
+    # the dense product, and CUT stands for the default table.  Each axis
+    # must take the route its family's cut selects, and the type V cut keeps
+    # one matrix within 512 KB.
+    table = dct._DENSE_MAX if dense_max == CUT else dict.fromkeys(BoundaryType, dense_max)
+    monkeypatch.setattr(dct, "_DENSE_MAX", table)
     op = GridDCT(shape, kinds)
+    axes = list(enumerate(zip(shape, kinds), -len(shape)))
+    fft = [(ax, k) for ax, (n, k) in axes if n > table[k]]
+    assert [ax for ax, *_ in op._dense] == [ax for ax, (n, k) in axes if n <= table[k]]
+    assert op._type_v == tuple((ax, k) for ax, k in fft if k in V_TYPES)
+    assert sorted(ax for *_, group in op._dctn for ax in group) == [
+        ax for ax, k in fft if k not in V_TYPES]
+    assert CUT < VCUT and 8 * VCUT**2 <= 512 * 1024
     rng = np.random.default_rng(len(shape) + sum(shape))
     v, c = rng.standard_normal(shape), rng.standard_normal(shape)
     before = v.copy(), c.copy()

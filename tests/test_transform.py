@@ -2,9 +2,11 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from cheblat import calculus, lattice as lat, transform as tf
+from cheblat import calculus, dct, lattice as lat, transform as tf
 from oracles import (adjoint_bucket_oracle, basis_oracle, buckets_oracle, forward_bucket_oracle,
                      inverse_bucket_oracle, vandermonde)
+
+VCUT = dct._DENSE_MAX[dct.BoundaryType.TYPE_V_MINUS]
 
 ALL = [
     ("cartesian", 2, (3, 5)),
@@ -381,6 +383,32 @@ def test_forward_padua_is_forward_bitwise():
         P = tf.plan(L)
         s = rng.standard_normal(L.npoints)
         assert np.array_equal(tf.forward_padua(P, s), tf.forward(P, s)), n
+
+
+@pytest.mark.parametrize("family,dim,res", [("padua", 2, 256), ("padua", 2, 2 * VCUT),
+                                             ("bcc", 3, 41), ("hex", 2, 41)])
+def test_dense_type_v_axes_match_fft_route(monkeypatch, family, dim, res):
+    # Padua r=256 has 129-node type V axes (dense), Padua r=2*VCUT has
+    # VCUT + 1 (FFT); bcc r=41 (21^3) and hex r=41 (144) have type V axes
+    # over the type I/II cut.  The reference plan sends every axis through the FFT.
+    L = lat.build(family, dim, res)
+    P = tf.plan(L)
+    assert any(op._type_v for op in P._grid_dcts) == (res == 2 * VCUT)
+    monkeypatch.setattr(dct, "_DENSE_MAX", dict.fromkeys(dct.BoundaryType, 0))
+    ref = tf.plan(L)
+    assert all(op._type_v for op in ref._grid_dcts)
+    rng = np.random.default_rng(res)
+    s, u = rng.standard_normal(L.npoints), rng.standard_normal(len(L.basis))
+
+    def rel(a, b):
+        return np.linalg.norm(a - b) / np.linalg.norm(b)
+
+    c = tf.forward(P, s)
+    assert rel(c, tf.forward(ref, s)) < 1e-13
+    assert rel(tf.inverse(P, u), tf.inverse(ref, u)) < 1e-13
+    assert rel(tf.adjoint(P, u), tf.adjoint(ref, u)) < 1e-13
+    if family == "padua":
+        assert np.array_equal(tf.forward_padua(P, s), c)
 
 
 def test_padua_path_requires_padua_family():
