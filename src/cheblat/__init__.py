@@ -29,9 +29,7 @@ from .lattice import (
     Family,
     LatticeError,
     ReciprocalBasis,
-    aliasing_class,
     boundary_efficiency,
-    brillouin_union,
     build,
     decompose,
     degree_config,
@@ -60,10 +58,8 @@ __all__ = [
     "ReciprocalBasis",
     "TransformPlan",
     "adjoint",
-    "aliasing_class",
     "basis_integrals",
     "boundary_efficiency",
-    "brillouin_union",
     "build",
     "dct_nd",
     "decompose",

@@ -6,7 +6,7 @@ lattice on the reflected torus.  Every such point set decomposes into a
 small number of shifted Cartesian grids whose axes are the four node
 families of :mod:`cheblat.dct`; that decomposition, which `decompose`
 returns, is what makes the fast transforms possible.  A lattice keeps its
-reciprocal generators as the integer matrix ``lattice.reciprocal.Q``.
+reciprocal generators as the read-only integer matrix ``lattice.reciprocal.Q``.
 
 Shipped families:
 
@@ -373,7 +373,7 @@ class ChebyshevLattice:
     blocks : tuple of `AliasingBlock`, the distinct aliasing responses in
         the order of their first group.
     cut_ties : keys of the groups whose cut falls between tied classes.
-    reciprocal : `ReciprocalBasis`.
+    reciprocal : `ReciprocalBasis`, whose ``Q`` is read-only.
     """
 
     def __init__(self, family: Family, dim: int, resolution: int):
@@ -390,6 +390,7 @@ class ChebyshevLattice:
         self.dim = dim
         self.resolution = resolution
         self.reciprocal = ReciprocalBasis(Q=_reciprocal_matrix(family, dim, resolution))
+        self.reciprocal.Q.flags.writeable = False
         if family is Family.COMPOSITE_OCT7:
             self._grids = _composite_oct7_grids(resolution)
         else:
@@ -422,8 +423,9 @@ class ChebyshevLattice:
 
     # ------------------------------------------------------------- basis
 
-    def _class_keys(self, shape: tuple[int, ...]) -> tuple[np.ndarray, int]:
-        """Alias-class id of every index of the box ``[0, shape)``, above its index.
+    def _class_keys(self) -> tuple[np.ndarray, int]:
+        """Alias-class id of every index of the build box ``[0, M_1] x ... x
+        [0, M_d]``, above its index.
 
         Returns ``(keys, shift)``: ``keys`` in C order, each ``id << shift``
         plus the index's C-order position, so ``keys >> shift`` are the ids.
@@ -452,19 +454,19 @@ class ChebyshevLattice:
         circle = np.array([g.circle_counts for g in self._grids]).T[:, :, None]
         shifts = np.array([g.shift for g in self._grids]).T[:, :, None]
         width = self.dim.bit_length()
-        shift = (math.prod(shape) - 1).bit_length()
+        shift = (math.prod(self._box) - 1).bit_length()
         bit = 1 << (shift + width * np.arange(len(self._grids), dtype=np.int64)[:, None])
         keys, flips = np.zeros((), dtype=np.int64), {}
         radix, stride = 1 << (shift + width * len(self._grids)), 1
         for a in reversed(range(self.dim)):
-            v, M = np.arange(shape[a]), self._box[a] - 1
+            v, M = np.arange(self._box[a]), self._box[a] - 1
             up, down = v % M, -v % M
             par = np.where(down < up, -v, v) // circle[a] * shifts[a] & 1
             keys = ((np.minimum(up, down) * radix + (par * bit).sum(axis=0) + v * stride)
                     .reshape((-1,) + (1,) * keys.ndim) + keys)
             if M % 2 == 0 and (flip := int((shifts[a] * bit * (M // 2 % circle[a] != 0)).sum())):
                 flips[a] = flip
-            radix, stride = radix * (M // 2 + 1), stride * shape[a]
+            radix, stride = radix * (M // 2 + 1), stride * self._box[a]
         keys &= ~(((1 << width) - 2) * bit).sum()
         fixes = []
         for axes in itertools.chain.from_iterable(
@@ -488,7 +490,7 @@ class ChebyshevLattice:
         class by class.
         """
         size = math.prod(self._box)
-        keys, shift = self._class_keys(self._box)
+        keys, shift = self._class_keys()
         keys.sort()
         index = keys & ((1 << shift) - 1)
         starts = np.flatnonzero(np.diff(keys >> shift, prepend=-1))
@@ -683,18 +685,21 @@ class ChebyshevLattice:
 
     def euclidean_degree(self) -> float:
         """Inscribed-ball radius of the basis index region."""
-        if self.family is Family.COMPOSITE_OCT7:
-            return math.sqrt(2.0) * 2 * self.resolution
-        return 0.5 * _min_vector_norm(self.reciprocal.Q)
+        return _cheap_degree(self.family, self.dim, self.resolution)
 
 
-def _min_vector_norm(Q: np.ndarray, zmax: int = 3) -> float:
+_ZMAX = 3  # coefficient bound of the shortest-vector search
+
+
+def _min_vector_norm(Q: np.ndarray) -> float:
     """Norm of the shortest nonzero integer combination, with coefficients in
-    ``[-zmax, zmax]``, of the rows of the integer matrix Q."""
+    ``[-_ZMAX, _ZMAX]``, of the rows of the integer matrix Q.  The rows may be
+    dependent: combinations that vanish are skipped."""
     d = Q.shape[0]
-    Z = np.indices((2 * zmax + 1,) * d, dtype=np.int64).reshape(d, -1).T - zmax
-    V = Z[np.any(Z, axis=1)] @ np.asarray(Q, dtype=np.int64)
-    return math.sqrt(int((V * V).sum(axis=1).min()))  # exact norm^2, rounded once
+    Z = np.indices((2 * _ZMAX + 1,) * d, dtype=np.int64).reshape(d, -1).T - _ZMAX
+    V = Z @ np.asarray(Q, dtype=np.int64)
+    norm2 = (V * V).sum(axis=1)
+    return math.sqrt(int(norm2[norm2 > 0].min()))  # exact norm^2, rounded once
 
 
 def build(family: Family | str, dim: int, resolution: int) -> ChebyshevLattice:
@@ -720,70 +725,6 @@ def decompose(lattice: ChebyshevLattice) -> list[CartesianSublattice]:
     return list(lattice._grids)
 
 
-def aliasing_class(lattice: ChebyshevLattice, k) -> tuple[tuple[int, ...], list[tuple[int, ...]]]:
-    """Canonical representative and low-order members of the class of ``k``.
-
-    Members are the folded non-negative images of ``k`` under the
-    lattice's aliasing translations and sign reflections, listed up to the
-    norm of ``k`` itself (so the canonical minimum always appears first).
-    """
-    k = tuple(int(v) for v in k)
-    norm2_k = sum(v * v for v in k)
-    box = (math.isqrt(norm2_k) + 2,) * lattice.dim
-    if math.prod(box) > _MAX_BOX:
-        raise LatticeError(f"the class of {k} needs a box of {math.prod(box)} indices, "
-                           f"over the cap of {_MAX_BOX}")
-    keys, shift = lattice._class_keys(box)
-    ids = keys >> shift
-    norm2 = _box_norm2(box)
-    found = np.flatnonzero((ids == ids[np.ravel_multi_index(np.abs(k), box)]) & (norm2 <= norm2_k))
-    found = found[np.argsort(norm2[found], kind="stable")]  # (norm, index) order
-    members = list(zip(*(u.tolist() for u in np.unravel_index(found, box))))
-    return members[0], members
-
-
-def brillouin_union(recip: ReciprocalBasis, m: int, radius_hint: float | None = None):
-    """Integer frequencies whose norm ranks within the first ``m`` Brillouin
-    zones of the reciprocal lattice, restricted to the non-negative orthant.
-
-    Returns ``(indices, tie_flags)``: ``tie_flags[i]`` marks points lying on
-    a zone boundary (their rank is ambiguous by exactly the tie count).
-    """
-    if m < 1:
-        raise LatticeError("zone count must be >= 1")
-    Q = np.asarray(recip.Q, dtype=np.int64)
-    d = Q.shape[0]
-    # enough reciprocal elements to rank everything inside the hint radius
-    if radius_hint is None:
-        radius_hint = (m ** (1.0 / d) + 1.5) * _min_vector_norm(Q)
-    ells = _lattice_elements_within(Q, 2.0 * radius_hint + 1.0)
-    indices = []
-    ties = []
-    rng = int(radius_hint) + 1
-    for k in itertools.product(*[range(0, rng + 1)] * d):
-        kv = np.asarray(k, dtype=float)
-        nk = kv @ kv
-        if nk > radius_hint * radius_hint:
-            continue
-        dists = ((kv + ells) ** 2).sum(axis=1)
-        closer = int((dists < nk - 1e-9).sum())
-        equal = int((np.abs(dists - nk) <= 1e-9).sum())  # includes l = 0
-        if closer + 1 <= m:
-            indices.append(k)
-            ties.append(closer + equal > m)
-    return indices, ties
-
-
-def _lattice_elements_within(Q: np.ndarray, radius: float) -> np.ndarray:
-    d = Q.shape[0]
-    inv_norm = np.linalg.norm(np.linalg.inv(Q.astype(float).T), ord=2)
-    zmax = int(math.ceil(radius * inv_norm)) + 1
-    zs = np.array(list(itertools.product(range(-zmax, zmax + 1), repeat=d)), dtype=np.int64)
-    ells = zs @ Q
-    keep = (ells.astype(float) ** 2).sum(axis=1) <= radius * radius
-    return ells[keep].astype(float)
-
-
 def _ball_volume(d: int, r: float) -> float:
     return math.pi ** (d / 2.0) / math.gamma(d / 2.0 + 1.0) * r**d
 
@@ -797,48 +738,10 @@ def efficiency(lattice: ChebyshevLattice) -> float:
     ``pi/4``, ``pi/6``, ``2 pi/7``, ``pi/(3 sqrt 2)`` and
     ``pi sqrt(3)/8`` for the Cartesian 2d/3d, hex, BCC and FCC families.
     """
-    d = lattice.dim
-    Q = lattice.reciprocal.Q
-    det = abs(_int_det([[int(v) for v in row] for row in Q]))
-    if lattice.family is Family.COMPOSITE_OCT7:
-        # seven points per translation cell: full-torus density 7 |det Q|
-        r = lattice.euclidean_degree()
-        return _ball_volume(d, r) / (7.0 * det)
-    r = 0.5 * _min_vector_norm(Q)
-    return _ball_volume(d, r) / det
-
-
-def _projected_reciprocal(Q: np.ndarray, axis: int) -> np.ndarray:
-    """Basis of the reciprocal lattice projected along one coordinate."""
-    rows = [[int(v) for j, v in enumerate(row) if j != axis] for row in Q]
-    return _hnf_basis(rows)
-
-
-def _hnf_basis(rows: list[list[int]]) -> np.ndarray:
-    """Reduce integer generators to a square triangular basis by gcd steps."""
-    rows = [list(r) for r in rows if any(r)]
-    if not rows:
-        raise LatticeError("projected lattice is rank deficient")
-    cols = len(rows[0])
-    basis: list[list[int]] = []
-    for pivot in range(cols):
-        while True:
-            nonzero = [r for r in rows if r[pivot] != 0]
-            if len(nonzero) <= 1:
-                break
-            nonzero.sort(key=lambda r: abs(r[pivot]))
-            a = nonzero[0]
-            for r in nonzero[1:]:
-                q = r[pivot] // a[pivot]
-                for c in range(cols):
-                    r[c] -= q * a[c]
-        nonzero = [r for r in rows if r[pivot] != 0]
-        if not nonzero:
-            raise LatticeError("projected lattice is rank deficient")
-        piv = nonzero[0]
-        basis.append(list(piv))
-        rows = [r for r in rows if r is not piv and any(r)]
-    return np.array(basis, dtype=np.int64)
+    det = abs(_int_det(lattice.reciprocal.Q.tolist()))
+    # composite-oct7 has seven points per translation cell: density 7 |det Q|
+    cells = 7 if lattice.family is Family.COMPOSITE_OCT7 else 1
+    return _ball_volume(lattice.dim, lattice.euclidean_degree()) / (cells * det)
 
 
 def boundary_efficiency(lattice: ChebyshevLattice, axis: int = -1) -> float:
@@ -847,29 +750,18 @@ def boundary_efficiency(lattice: ChebyshevLattice, axis: int = -1) -> float:
     The face point set ``{theta_axis = 0}`` is itself a Chebyshev lattice
     in ``d - 1`` dimensions; its reciprocal is the projection of the full
     reciprocal lattice along the chosen axis, and the same packing formula
-    as `efficiency` applies.  One-dimensional faces always give 1.
+    as `efficiency` applies.  The ``d`` projected generators span it, so its
+    cell volume is the gcd of their ``(d - 1)``-row minors (Cauchy-Binet;
+    Cohen, *A Course in Computational Algebraic Number Theory*, 2.4).
+    One-dimensional faces always give 1.
     """
     if lattice.dim < 2:
         raise LatticeError("boundary efficiency needs dim >= 2")
-    axis = axis % lattice.dim
-    if lattice.family is Family.COMPOSITE_OCT7:
-        Qf = np.array([[2 * lattice.resolution]], dtype=np.int64)
-    else:
-        Qf = _projected_reciprocal(lattice.reciprocal.Q, axis)
     d = lattice.dim - 1
-    det = abs(_int_det([[int(v) for v in row] for row in Qf]))
-    r = 0.5 * _min_vector_norm(Qf)
-    return _ball_volume(d, r) / det
-
-
-def boundary_degree(lattice: ChebyshevLattice, axis: int = -1) -> int:
-    """Largest ``k`` such that all face frequencies ``0..k`` appear in the
-    basis projected along the axis (the boundary-resolvable degree)."""
-    proj = np.delete(lattice._members, axis % lattice.dim, axis=1)
-    # first face coordinate of the projected members whose other coordinates are 0
-    face = np.unique(proj[~proj[:, 1:].any(axis=1), :1])
-    face = face[face > 0]
-    return int(np.argmin(np.append(face == np.arange(1, len(face) + 1), False)))
+    rows = np.delete(lattice.reciprocal.Q, axis % lattice.dim, axis=1)
+    det = math.gcd(*(_int_det(rows[list(at)].tolist())
+                     for at in itertools.combinations(range(lattice.dim), d)))
+    return _ball_volume(d, 0.5 * _min_vector_norm(rows)) / det
 
 
 def degree_config(family: Family | str, dim: int, degree: float) -> int:
@@ -886,6 +778,8 @@ def degree_config(family: Family | str, dim: int, degree: float) -> int:
 
 
 def _cheap_degree(family: Family, dim: int, res: int) -> float:
+    """`ChebyshevLattice.euclidean_degree` of a lattice, without building it:
+    half the shortest reciprocal vector, or ``2 sqrt(2) n`` for composite-oct7."""
     if family is Family.COMPOSITE_OCT7:
         return math.sqrt(2.0) * 2 * res
     return 0.5 * _min_vector_norm(_reciprocal_matrix(family, dim, res))

@@ -648,10 +648,95 @@ def records_to_csv_oracle(records) -> str:
     return "\n".join(lines) + "\n"
 
 
-def min_vector_norm_oracle(Q, zmax: int = 3) -> float:
-    """Shortest nonzero combination with coefficients in [-zmax, zmax], one norm at a time."""
+def min_vector_norm_oracle(Q) -> float:
+    """Shortest nonzero combination with coefficients in [-3, 3], one norm at a time.
+
+    The rows of ``Q`` may be dependent, so a combination is skipped when its
+    vector, not its coefficient tuple, is zero.
+    """
     best = np.inf
-    for z in itertools.product(range(-zmax, zmax + 1), repeat=Q.shape[0]):
-        if any(z):
-            best = min(best, float(np.linalg.norm(np.asarray(z) @ np.asarray(Q, dtype=float))))
+    for z in itertools.product(range(-3, 4), repeat=Q.shape[0]):
+        v = np.asarray(z) @ np.asarray(Q, dtype=float)
+        if v.any():
+            best = min(best, float(np.linalg.norm(v)))
     return best
+
+
+# ------------------------------------------------------ lattice geometry
+#
+# Reciprocal-lattice geometry that only tests use: the Brillouin-zone
+# ranking the composite-oct7 basis is checked against, and the integer row
+# reduction `boundary_efficiency` once ran on the projected generators.
+
+
+def lattice_elements_within(Q: np.ndarray, radius: float) -> np.ndarray:
+    """Every integer combination of the rows of ``Q`` of norm at most ``radius``."""
+    d = Q.shape[0]
+    inv_norm = np.linalg.norm(np.linalg.inv(Q.astype(float).T), ord=2)
+    zmax = int(math.ceil(radius * inv_norm)) + 1
+    zs = np.array(list(itertools.product(range(-zmax, zmax + 1), repeat=d)), dtype=np.int64)
+    ells = zs @ Q
+    keep = (ells.astype(float) ** 2).sum(axis=1) <= radius * radius
+    return ells[keep].astype(float)
+
+
+def brillouin_union(Q: np.ndarray, m: int, radius_hint: float | None = None):
+    """Integer frequencies whose norm ranks within the first ``m`` Brillouin
+    zones of the reciprocal lattice spanned by the rows of ``Q``, restricted
+    to the non-negative orthant.
+
+    Returns ``(indices, tie_flags)``: ``tie_flags[i]`` marks points lying on
+    a zone boundary (their rank is ambiguous by exactly the tie count).
+    """
+    Q = np.asarray(Q, dtype=np.int64)
+    d = Q.shape[0]
+    # enough reciprocal elements to rank everything inside the hint radius
+    if radius_hint is None:
+        radius_hint = (m ** (1.0 / d) + 1.5) * min_vector_norm_oracle(Q)
+    ells = lattice_elements_within(Q, 2.0 * radius_hint + 1.0)
+    indices = []
+    ties = []
+    rng = int(radius_hint) + 1
+    for k in itertools.product(*[range(0, rng + 1)] * d):
+        kv = np.asarray(k, dtype=float)
+        nk = kv @ kv
+        if nk > radius_hint * radius_hint:
+            continue
+        dists = ((kv + ells) ** 2).sum(axis=1)
+        closer = int((dists < nk - 1e-9).sum())
+        equal = int((np.abs(dists - nk) <= 1e-9).sum())  # includes l = 0
+        if closer + 1 <= m:
+            indices.append(k)
+            ties.append(closer + equal > m)
+    return indices, ties
+
+
+def hnf_basis(rows: list[list[int]]) -> list[list[int]]:
+    """Reduce integer generators to a square upper triangular basis by gcd steps."""
+    rows = [list(r) for r in rows if any(r)]
+    cols = len(rows[0])
+    basis: list[list[int]] = []
+    for pivot in range(cols):
+        while True:
+            nonzero = [r for r in rows if r[pivot] != 0]
+            if len(nonzero) <= 1:
+                break
+            nonzero.sort(key=lambda r: abs(r[pivot]))
+            a = nonzero[0]
+            for r in nonzero[1:]:
+                q = r[pivot] // a[pivot]
+                for c in range(cols):
+                    r[c] -= q * a[c]
+        piv = next(r for r in rows if r[pivot] != 0)  # the rows have full rank
+        basis.append(list(piv))
+        rows = [r for r in rows if r is not piv and any(r)]
+    return basis
+
+
+def face_lattice_oracle(Q, axis: int) -> tuple[int, float]:
+    """Cell volume and shortest-vector norm of the reciprocal lattice
+    projected along ``axis``, from its triangular `hnf_basis`: the volume is
+    the product of the diagonal, and the norm is `min_vector_norm_oracle`
+    of the basis rows."""
+    basis = hnf_basis([[v for j, v in enumerate(row) if j != axis] for row in np.asarray(Q).tolist()])
+    return abs(math.prod(row[i] for i, row in enumerate(basis))), min_vector_norm_oracle(np.array(basis))

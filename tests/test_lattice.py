@@ -4,14 +4,17 @@ import json
 import math
 import tracemalloc
 from fractions import Fraction
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
 from cheblat import lattice as lat
+from cheblat import transform as tf
 from cheblat.dct import BoundaryType
-from oracles import (alias_search, basis_oracle, boundary_degree_oracle,
-                     lattice_descriptor_oracle, point_fractions_oracle)
+from oracles import (_BasisSearch, alias_search, basis_oracle, boundary_degree_oracle,
+                     brillouin_union, face_lattice_oracle, lattice_descriptor_oracle,
+                     lattice_elements_within, point_fractions_oracle)
 
 BRAVAIS_2D = [("cartesian", 2), ("padua", 2), ("hex", 2)]
 BRAVAIS_3D = [("bcc", 3), ("fcc", 3)]
@@ -127,8 +130,6 @@ def test_over_cap_build_raises_before_allocating():
         tracemalloc.stop()
     with pytest.raises(lat.LatticeError, match="box of 2146689 indices"):
         lat.build("bcc", 3, 128)  # the first bcc box over 2^21 = 128^3 indices
-    with pytest.raises(lat.LatticeError, match="over the cap"):
-        lat.aliasing_class(lat.build("bcc", 3, 2), (10**4, 0, 0))
 
 
 @pytest.mark.parametrize("family,dim", ALL_FAMILIES)
@@ -260,38 +261,62 @@ def test_reciprocal_generators():
     assert np.array_equal(np.abs(Q), np.array([[3, 4], [3, 4]]))
 
 
+def test_reciprocal_generators_are_read_only():
+    L = lat.build("bcc", 3, 4)
+    with pytest.raises(ValueError, match="read-only"):
+        L.reciprocal.Q[0, 0] = 100
+    assert lat.efficiency(L) == pytest.approx(math.pi / (3 * math.sqrt(2)), abs=1e-12)
+
+
 # ---------------------------------------------------------------- aliasing
 
 
 def test_aliasing_class_zero():
+    # zero is alone in its class: the constant's samples transform to its entry
     L = lat.build("hex", 2, 1)
-    canon, members = lat.aliasing_class(L, (0, 0))
-    assert canon == (0, 0)
-    assert members == [(0, 0)]
+    j = L.basis_index_of((0, 0))
+    assert L.basis[j].members == ((0, 0),)
+    expect = np.zeros(L.npoints)
+    expect[j] = 1.0
+    assert np.allclose(tf.forward(tf.plan(L), np.ones(L.npoints)), expect, atol=1e-12)
 
 
 def test_padua_antidiagonal_aliasing():
     # axis 0 carries denominator n, axis 1 denominator n+1:
-    # (k1, k2) with k1 + k2 > n aliases onto (n - k1, n + 1 - k2)
+    # (k1, k2) with k1 + k2 > n aliases onto (n - k1, n + 1 - k2), so the
+    # samples of T_k transform to the unit vector of that basis entry
     n = 2
     L = lat.build("padua", 2, n)
+    P = tf.plan(L)
     for k in [(2, 1), (1, 2), (2, 2)]:
-        if k[0] + k[1] <= n:
-            continue
-        canon, members = lat.aliasing_class(L, k)
-        assert canon == (n - k[0], n + 1 - k[1]), k
+        expect = np.zeros(L.npoints)
+        expect[L.basis_index_of((n - k[0], n + 1 - k[1]))] = 1.0
+        c = tf.forward(P, np.prod(np.cos(L.point_thetas * k), axis=1))
+        assert np.allclose(c, expect, atol=1e-12), k
 
 
 @pytest.mark.parametrize("family,dim", [("padua", 2), ("hex", 2), ("bcc", 3), ("fcc", 3)])
 def test_aliasing_class_matches_exhaustive_search(family, dim):
+    # T_k's samples transform to the entry of the lowest-norm image of k
+    # under the reciprocal lattice and sign flips, found exhaustively
     res = small_resolutions(family)[1]
     L = lat.build(family, dim, res)
+    P = tf.plan(L)
     rng = np.random.default_rng(1)
+    checked = 0
     for _ in range(8):
         k = tuple(int(v) for v in rng.integers(0, 6, dim))
-        canon, members = lat.aliasing_class(L, k)
-        brute = alias_search(L.reciprocal.Q, k, math.sqrt(sum(v * v for v in k)) + 1e-9)
-        assert members == brute, (family, k)
+        canon = alias_search(L.reciprocal.Q, k, math.sqrt(sum(v * v for v in k)) + 1e-9)[0]
+        j = L.basis_index_of(canon)
+        if j is None:  # the class has no basis entry
+            continue
+        assert L.basis[j].canonical == canon, (family, k)
+        expect = np.zeros(L.npoints)
+        expect[j] = 1.0 / len(L.basis[j].members)
+        c = tf.forward(P, np.prod(np.cos(L.point_thetas * k), axis=1))
+        assert np.allclose(c, expect, atol=1e-10), (family, k)
+        checked += 1
+    assert checked >= 4, family
 
 
 # ------------------------------------------------------------------ basis
@@ -299,13 +324,14 @@ def test_aliasing_class_matches_exhaustive_search(family, dim):
 
 @pytest.mark.parametrize("family,dim", ALL_FAMILIES)
 def test_minimal_alias_property(family, dim):
+    # an entry's members are exactly the indices of its class of norm at most its own
     res = small_resolutions(family)[1]
     L = lat.build(family, dim, res)
+    search = _BasisSearch(L)
     for entry in L.basis[: min(len(L.basis), 60)]:
-        canon, members = lat.aliasing_class(L, entry.canonical)
-        assert canon == entry.canonical
-        tied = [m for m in members if sum(v * v for v in m) == entry.norm2]
-        assert set(entry.members) == set(tied)
+        low = {k for k in itertools.product(range(math.isqrt(entry.norm2) + 1), repeat=dim)
+               if sum(v * v for v in k) <= entry.norm2 and search.same_class(k, entry.canonical)}
+        assert low == set(entry.members), (family, entry)
 
 
 def test_hex_basis_contains_inscribed_ball():
@@ -351,8 +377,7 @@ def test_bcc_tie_combination():
 def test_brillouin_union_m1_cartesian_box():
     # first zone of 8 Z^2 in the quadrant: the box {0..4}^2, with the
     # k = 4 faces flagged as zone-boundary ties (the shift by -8 ties)
-    recip = lat.ReciprocalBasis(Q=np.eye(2, dtype=np.int64) * 8)
-    indices, ties = lat.brillouin_union(recip, 1)
+    indices, ties = brillouin_union(np.eye(2, dtype=np.int64) * 8, 1)
     inside = {k for k, t in zip(indices, ties) if not t}
     boundary = {k for k, t in zip(indices, ties) if t}
     assert inside == set(itertools.product(range(4), repeat=2))
@@ -364,8 +389,7 @@ def test_brillouin_union_area_counting():
     # fine exhaustive grid count over the full plane
     N = 4
     m = 7
-    recip = lat.ReciprocalBasis(Q=np.eye(2, dtype=np.int64) * N)
-    ells = lat._lattice_elements_within(np.eye(2, dtype=np.int64) * N, 6.0 * N)
+    ells = lattice_elements_within(np.eye(2, dtype=np.int64) * N, 6.0 * N)
     h = 0.05
     span = np.arange(-2.0 * N, 2.0 * N, h) + h / 2
     X, Y = np.meshgrid(span, span, indexing="ij")
@@ -385,8 +409,7 @@ def test_brillouin_union_oct7_is_octagon():
     # the 7th union of an equal-aspect Cartesian reciprocal: an irregular
     # octagon reaching 1.5 N on the axes and sqrt(2) N on the diagonals
     N = 8
-    recip = lat.ReciprocalBasis(Q=np.eye(2, dtype=np.int64) * N)
-    indices, ties = lat.brillouin_union(recip, 7)
+    indices, ties = brillouin_union(np.eye(2, dtype=np.int64) * N, 7)
     got = set(indices)
     assert (int(1.5 * N) - 1, 0) in got
     assert (N - 1, N - 1) in got
@@ -398,7 +421,7 @@ def test_composite_basis_matches_brillouin_union():
     L = lat.build("composite-oct7", 2, 2)
     N = 2 * L.resolution
     members = {m for e in L.basis for m in e.members}
-    indices, ties = lat.brillouin_union(lat.ReciprocalBasis(Q=np.eye(2, dtype=np.int64) * N), 7)
+    indices, ties = brillouin_union(np.eye(2, dtype=np.int64) * N, 7)
     strict = {k for k, t in zip(indices, ties) if not t}
     assert strict <= members
 
@@ -445,16 +468,34 @@ def test_padua_boundary_degree_advantage():
     padua = lat.build("padua", 2, n)
     m = int(round(math.sqrt(padua.npoints)))
     cart = lat.build("cartesian", 2, m)
-    ratio = lat.boundary_degree(padua, 1) / lat.boundary_degree(cart, 1)
+    ratio = boundary_degree_oracle(padua, 1) / boundary_degree_oracle(cart, 1)
     assert abs(ratio - math.sqrt(2)) < 0.15
 
 
-@pytest.mark.parametrize("family,dim", ALL_FAMILIES + [("cartesian", 1), ("cartesian", 3)])
-def test_boundary_degree_matches_member_loop(family, dim):
-    for res in small_resolutions(family) + (8,):
-        L = lat.build(family, dim, res)
-        for axis in range(-1, dim):
-            assert lat.boundary_degree(L, axis) == boundary_degree_oracle(L, axis), (res, axis)
+class _Probe:
+    """Stands in for the ball volume: holds the radius, and dividing it by
+    the cell volume returns ``(2 r, det)``."""
+
+    def __init__(self, d, r):
+        self.r = r
+
+    def __truediv__(self, det):
+        return 2 * self.r, det
+
+
+@pytest.mark.parametrize("family,dim", ALL_FAMILIES + [("cartesian", 3)])
+def test_face_lattice_matches_hnf_oracle(monkeypatch, family, dim):
+    # the gcd of the projected generators' minors and their shortest
+    # combination give exactly the triangular basis's volume and shortest
+    # vector; boundary_efficiency reads only dim and Q, so no lattice is built
+    monkeypatch.setattr(lat, "_ball_volume", _Probe)
+    fam = lat.Family(family)
+    for res in range(lat._MIN_RESOLUTION[fam], 65):
+        Q = lat._reciprocal_matrix(fam, dim, res)
+        L = SimpleNamespace(dim=dim, reciprocal=lat.ReciprocalBasis(Q=Q))
+        for axis in range(dim):
+            norm, det = lat.boundary_efficiency(L, axis)
+            assert (det, norm) == face_lattice_oracle(Q, axis), (res, axis)
 
 
 def test_fcc_boundary_interior_ratio():

@@ -3,8 +3,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from cheblat import calculus, dct, lattice as lat, transform as tf
-from oracles import (adjoint_bucket_oracle, basis_oracle, buckets_oracle, forward_bucket_oracle,
-                     inverse_bucket_oracle, vandermonde)
+from oracles import (_BasisSearch, adjoint_bucket_oracle, basis_oracle, buckets_oracle,
+                     forward_bucket_oracle, inverse_bucket_oracle, vandermonde)
 
 VCUT = dct._DENSE_MAX[dct.BoundaryType.TYPE_V_MINUS]
 
@@ -222,8 +222,10 @@ def test_out_of_basis_aliasing_all_families():
         if L.npoints > 400:
             continue
         P = tf.plan(L)
-        canon, members = lat.aliasing_class(L, tuple([3] * L.dim))
-        j = L.basis_index_of(canon)
+        # the basis entry, if any, whose class holds (3, ..., 3)
+        search = _BasisSearch(L)
+        j = next((i for i, e in enumerate(L.basis)
+                  if any(search.same_class(m, (3,) * L.dim) for m in e.members)), None)
         if j is None:
             continue
         th = L.point_thetas
