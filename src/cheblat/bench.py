@@ -10,12 +10,20 @@ per (family, resolution).
 Everything is deterministic under a fixed seed: trial ``t`` draws from a
 generator seeded with ``(seed, t)``, so results do not depend on
 execution order.
+
+Both harnesses set up every (family, resolution) first: interpolation
+runs build each lattice and plan, quadrature runs each lattice, plan and
+stencil, and each Gauss-Legendre comparator rule.  Then each trial's
+work is done once and shared by every (family, resolution): the
+rotation and test function, and for interpolation the error points and
+the function's values on them (for quadrature, the reference integral).
+Peak memory is therefore everything set up plus one trial's points.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -26,11 +34,32 @@ class BenchError(ValueError):
     pass
 
 
-_PROFILES = {
-    "gaussian": lambda r2: np.exp(-r2),
-    "runge": lambda r2: 1.0 / (1.0 + np.sqrt(r2)),
-    "esssing": lambda r2: np.where(r2 > 0, np.exp(-1.0 / np.maximum(r2, 1e-300)), 0.0),
-}
+# Each profile overwrites and returns its argument, an array the caller owns.
+def _gaussian(r2):
+    return np.exp(np.negative(r2, out=r2), out=r2)
+
+
+def _runge(r2):
+    np.sqrt(r2, out=r2)
+    r2 += 1.0
+    return np.divide(1.0, r2, out=r2)
+
+
+def _esssing(r2):
+    at_center = ~(r2 > 0)  # and NaN, which the profile also maps to 0
+    np.maximum(r2, 1e-300, out=r2)
+    np.exp(np.divide(-1.0, r2, out=r2), out=r2)
+    r2[at_center] = 0.0
+    return r2
+
+
+_PROFILES = {"gaussian": _gaussian, "runge": _runge, "esssing": _esssing}
+
+
+def _frozen(values) -> np.ndarray:
+    values = np.array(values, dtype=float)
+    values.flags.writeable = False
+    return values
 
 
 @dataclass(frozen=True)
@@ -40,7 +69,8 @@ class TestFunction:
     ``f(x) = profile(||R x - a||^2)``; defined on all of R^d so rotations
     never leave the domain of definition.  ``esssing`` is
     ``exp(-1/r^2)`` extended by 0 at the center: C-infinity but not
-    analytic there.
+    analytic there.  Immutable: ``center`` and ``rotation`` are read-only
+    float copies of the given values.
     """
 
     kind: str
@@ -50,14 +80,27 @@ class TestFunction:
     def __post_init__(self):
         if self.kind not in _PROFILES:
             raise BenchError(f"unknown test function kind {self.kind!r}")
-        R = np.asarray(self.rotation, dtype=float)
+        R, c = _frozen(self.rotation), _frozen(self.center)
+        if R.ndim != 2 or R.shape[0] != R.shape[1]:
+            raise BenchError(f"rotation must be a square matrix, got shape {R.shape}")
+        if c.shape != R.shape[:1]:
+            raise BenchError(f"center must have {R.shape[0]} entries, got shape {c.shape}")
         if np.max(np.abs(R.T @ R - np.eye(R.shape[0]))) > 1e-12:
             raise BenchError("rotation matrix is not orthogonal")
+        object.__setattr__(self, "rotation", R)
+        object.__setattr__(self, "center", c)
 
     def __call__(self, X: np.ndarray) -> np.ndarray:
         X = np.atleast_2d(np.asarray(X, dtype=float))
-        Y = X @ np.asarray(self.rotation).T - np.asarray(self.center)
-        return _PROFILES[self.kind]((Y * Y).sum(axis=1))
+        Y = X @ self.rotation.T
+        Y -= self.center
+        Y *= Y
+        # Columns summed left to right: on rows this short, the same bits as
+        # ``Y.sum(axis=1)`` without numpy's slow reduction over a short axis.
+        r2 = Y[:, 0].copy()
+        for column in Y.T[1:]:
+            r2 += column
+        return _PROFILES[self.kind](r2)
 
 
 _DEFAULT_CENTERS = {2: (0.3, 0.15), 3: (0.3, 0.15, -0.2)}
@@ -144,52 +187,63 @@ def _trial_rng(seed: int, trial: int, stream: int = 0) -> np.random.Generator:
     return np.random.default_rng([seed, trial, stream])
 
 
-def _interp_error(config: ExperimentConfig, plan, f, trial: int) -> float:
-    lattice = plan.lattice
-    coeffs = tf.forward(plan, f(lattice.points))
-    interp = calculus.Interpolant(lattice, coeffs)
+def _error_points(config: ExperimentConfig, trial: int) -> np.ndarray:
+    """The points where trial ``trial`` of an interpolation run samples the error."""
     if config.metric == "l2-grid":
-        per_axis = max(4, int(round(config.sample_budget ** (1.0 / lattice.dim))))
-        axes = [np.linspace(-1.0, 1.0, per_axis)] * lattice.dim
+        per_axis = max(4, int(round(config.sample_budget ** (1.0 / config.dim))))
+        axes = [np.linspace(-1.0, 1.0, per_axis)] * config.dim
         grids = np.meshgrid(*axes, indexing="ij")
-        X = np.column_stack([g.ravel() for g in grids])
-    else:  # "l2-mc"
-        X = _trial_rng(config.seed, trial, 1).uniform(-1.0, 1.0, (config.sample_budget, lattice.dim))
-    fx = f(X)
-    px = calculus.evaluate(interp, X)
-    denom = math.sqrt(float(np.mean(fx * fx))) or 1.0
+        return np.column_stack([g.ravel() for g in grids])
+    # "l2-mc"
+    return _trial_rng(config.seed, trial, 1).uniform(-1.0, 1.0, (config.sample_budget, config.dim))
+
+
+def _interp_error(plan, f, X: np.ndarray, fx: np.ndarray, denom: float) -> float:
+    """Relative L2 error at ``X`` of the interpolant of ``f`` on ``plan``'s lattice."""
+    coeffs = tf.forward(plan, f(plan.lattice.points))
+    px = calculus.evaluate(calculus.Interpolant(plan.lattice, coeffs), X)
     return math.sqrt(float(np.mean((fx - px) ** 2))) / denom
 
 
+def _record(config: ExperimentConfig, family: str, res: int, npoints: int, degree: float,
+            errs: np.ndarray) -> ErrorRecord:
+    return ErrorRecord(
+        family=family,
+        dim=config.dim,
+        resolution=res,
+        npoints=npoints,
+        euclidean_degree=degree,
+        error_mean=float(errs.mean()),
+        error_std=float(errs.std()),
+        trials=config.trials,
+        seed=config.seed,
+    )
+
+
 def run_interp_convergence(config: ExperimentConfig) -> list[ErrorRecord]:
-    """Mean rotated-interpolation error per (family, resolution)."""
-    records = []
+    """Mean rotated-interpolation error per (family, resolution).
+
+    Every plan is built first.  Each trial then draws its rotation and
+    error points and evaluates the test function on them once, and
+    measures every plan against them, so peak memory is all plans plus
+    one trial's points and values.
+    """
+    if "gauss-legendre" in config.sweep:
+        raise BenchError("gauss-legendre comparator applies to quadrature runs only")
+    plans = [(family, res, tf.plan(lat.build(family, config.dim, res)))
+             for family, resolutions in config.sweep.items() for res in resolutions]
     center = config.resolved_center()
-    for family, resolutions in config.sweep.items():
-        if family == "gauss-legendre":
-            raise BenchError("gauss-legendre comparator applies to quadrature runs only")
-        for res in resolutions:
-            lattice = lat.build(family, config.dim, res)
-            plan = tf.plan(lattice)
-            errs = np.empty(config.trials)
-            for t in range(config.trials):
-                R = random_rotation(config.dim, _trial_rng(config.seed, t))
-                f = TestFunction(kind=config.kind, center=center, rotation=R)
-                errs[t] = _interp_error(config, plan, f, t)
-            records.append(
-                ErrorRecord(
-                    family=family,
-                    dim=config.dim,
-                    resolution=res,
-                    npoints=lattice.npoints,
-                    euclidean_degree=lattice.euclidean_degree(),
-                    error_mean=float(errs.mean()),
-                    error_std=float(errs.std()),
-                    trials=config.trials,
-                    seed=config.seed,
-                )
-            )
-    return records
+    errs = np.empty((len(plans), config.trials))
+    for t in range(config.trials):
+        R = random_rotation(config.dim, _trial_rng(config.seed, t))
+        f = TestFunction(kind=config.kind, center=center, rotation=R)
+        X = _error_points(config, t)
+        fx = f(X)
+        denom = math.sqrt(float(np.mean(fx * fx))) or 1.0
+        for i, (_, _, plan) in enumerate(plans):
+            errs[i, t] = _interp_error(plan, f, X, fx, denom)
+    return [_record(config, family, res, plan.lattice.npoints, plan.lattice.euclidean_degree(), e)
+            for (family, res, plan), e in zip(plans, errs)]
 
 
 # Most nodes a reference rule may have (order 64 in 3d, 512 in 2d); bounds its time and memory.
@@ -223,56 +277,37 @@ def run_quad_convergence(config: ExperimentConfig) -> list[ErrorRecord]:
     """Relative rotated-integration error per (family, resolution).
 
     Reference values come from `reference_integral`, starting at the
-    largest tested degree plus 12.
+    largest tested degree plus 12.  Every lattice, plan and stencil and
+    every Gauss-Legendre comparator rule is built once, before the
+    trials.
     """
     center = config.resolved_center()
-    max_degree = 1.0
     specs = []
     for family, resolutions in config.sweep.items():
         for res in resolutions:
             if family == "gauss-legendre":
-                specs.append((family, res, None, None, res**config.dim, float(2 * res - 1)))
-                max_degree = max(max_degree, 2.0 * res - 1)
+                nodes, w = calculus.gauss_legendre(res, config.dim)
+                specs.append((family, res, (nodes, w), w.size, float(2 * res - 1)))
             else:
                 lattice = lat.build(family, config.dim, res)
-                plan = tf.plan(lattice)
-                stencil = calculus.quadrature_stencil(plan)
-                specs.append(
-                    (family, res, lattice, stencil, lattice.npoints, lattice.euclidean_degree())
-                )
-                max_degree = max(max_degree, lattice.euclidean_degree())
+                stencil = calculus.quadrature_stencil(tf.plan(lattice))
+                specs.append((family, res, stencil, lattice.npoints, lattice.euclidean_degree()))
+    max_degree = max([1.0] + [degree for *_, degree in specs])
     ref_order = int(math.ceil(max_degree)) + 12
-    trial_fns = []
-    trial_refs = []
+    errs = np.empty((len(specs), config.trials))
     for t in range(config.trials):
         R = random_rotation(config.dim, _trial_rng(config.seed, t))
         f = TestFunction(kind=config.kind, center=center, rotation=R)
-        trial_fns.append(f)
-        trial_refs.append(reference_integral(f, config.dim, ref_order))
-    records = []
-    for family, res, lattice, stencil, npoints, degree in specs:
-        errs = np.empty(config.trials)
-        for t, (f, ref) in enumerate(zip(trial_fns, trial_refs)):
+        ref = reference_integral(f, config.dim, ref_order)
+        for i, (family, _, rule, _, _) in enumerate(specs):
             if family == "gauss-legendre":
-                nodes, w = calculus.gauss_legendre(res, config.dim)
+                nodes, w = rule
                 val = float(w @ f(nodes))
             else:
-                val = calculus.integrate(stencil, f(lattice.points))
-            errs[t] = abs(val - ref) / max(abs(ref), 1e-30)
-        records.append(
-            ErrorRecord(
-                family=family,
-                dim=config.dim,
-                resolution=res,
-                npoints=npoints,
-                euclidean_degree=degree,
-                error_mean=float(errs.mean()),
-                error_std=float(errs.std()),
-                trials=config.trials,
-                seed=config.seed,
-            )
-        )
-    return records
+                val = calculus.integrate(rule, f(rule.lattice.points))
+            errs[i, t] = abs(val - ref) / max(abs(ref), 1e-30)
+    return [_record(config, family, res, npoints, degree, e)
+            for (family, res, _, npoints, degree), e in zip(specs, errs)]
 
 
 def lebesgue_estimate(lattice, probe_per_axis: int = 60) -> float:

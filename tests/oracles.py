@@ -740,3 +740,99 @@ def face_lattice_oracle(Q, axis: int) -> tuple[int, float]:
     of the basis rows."""
     basis = hnf_basis([[v for j, v in enumerate(row) if j != axis] for row in np.asarray(Q).tolist()])
     return abs(math.prod(row[i] for i, row in enumerate(basis))), min_vector_norm_oracle(np.array(basis))
+
+
+# ------------------------------------------------------------ bench sweeps
+
+
+_PROFILE_ORACLES = {
+    "gaussian": lambda r2: np.exp(-r2),
+    "runge": lambda r2: 1.0 / (1.0 + np.sqrt(r2)),
+    "esssing": lambda r2: np.where(r2 > 0, np.exp(-1.0 / np.maximum(r2, 1e-300)), 0.0),
+}
+
+
+def radial_function_oracle(kind: str, center, rotation):
+    """``profile(||R x - c||^2)`` with a fresh array per step and a row reduction."""
+    profile = _PROFILE_ORACLES[kind]
+    R = np.array(rotation, dtype=float)
+    c = np.array(center, dtype=float)
+
+    def f(X):
+        X = np.atleast_2d(np.asarray(X, dtype=float))
+        return profile(((X @ R.T - c) * (X @ R.T - c)).sum(axis=1))
+
+    return f
+
+
+def _oracle_record(bench, config, family, res, npoints, degree, errs):
+    return bench.ErrorRecord(family=family, dim=config.dim, resolution=res, npoints=npoints,
+                             euclidean_degree=degree, error_mean=float(errs.mean()),
+                             error_std=float(errs.std()), trials=config.trials, seed=config.seed)
+
+
+def interp_convergence_oracle(config) -> list:
+    """`run_interp_convergence` as a family-outer loop.
+
+    Every (family, resolution) draws each trial's rotation from
+    ``(seed, t)`` and its Monte Carlo points from ``(seed, t, 1)`` afresh.
+    """
+    from cheblat import bench, calculus, lattice as lat, transform as tf
+
+    records = []
+    for family, resolutions in config.sweep.items():
+        for res in resolutions:
+            lattice = lat.build(family, config.dim, res)
+            plan = tf.plan(lattice)
+            errs = np.empty(config.trials)
+            for t in range(config.trials):
+                R = bench.random_rotation(config.dim, np.random.default_rng([config.seed, t, 0]))
+                f = radial_function_oracle(config.kind, config.resolved_center(), R)
+                interp = calculus.Interpolant(lattice, tf.forward(plan, f(lattice.points)))
+                if config.metric == "l2-grid":
+                    per_axis = max(4, int(round(config.sample_budget ** (1.0 / config.dim))))
+                    axis = np.linspace(-1.0, 1.0, per_axis)
+                    X = np.array(list(itertools.product(axis, repeat=config.dim)))
+                else:
+                    rng = np.random.default_rng([config.seed, t, 1])
+                    X = rng.uniform(-1.0, 1.0, (config.sample_budget, config.dim))
+                fx = f(X)
+                px = calculus.evaluate(interp, X)
+                denom = math.sqrt(float(np.mean(fx * fx))) or 1.0
+                errs[t] = math.sqrt(float(np.mean((fx - px) ** 2))) / denom
+            records.append(_oracle_record(bench, config, family, res, lattice.npoints,
+                                          lattice.euclidean_degree(), errs))
+    return records
+
+
+def quad_convergence_oracle(config) -> list:
+    """`run_quad_convergence` as a family-outer loop that builds every rule per trial."""
+    from cheblat import bench, calculus, lattice as lat, transform as tf
+
+    rules = {}
+    for family, resolutions in config.sweep.items():
+        for res in resolutions:
+            if family == "gauss-legendre":
+                rules[family, res] = (None, res**config.dim, float(2 * res - 1))
+            else:
+                lattice = lat.build(family, config.dim, res)
+                rules[family, res] = (lattice, lattice.npoints, lattice.euclidean_degree())
+    ref_order = int(math.ceil(max([1.0] + [d for _, _, d in rules.values()]))) + 12
+    fns, refs = [], []
+    for t in range(config.trials):
+        R = bench.random_rotation(config.dim, np.random.default_rng([config.seed, t, 0]))
+        fns.append(radial_function_oracle(config.kind, config.resolved_center(), R))
+        refs.append(bench.reference_integral(fns[-1], config.dim, ref_order))
+    records = []
+    for (family, res), (lattice, npoints, degree) in rules.items():
+        errs = np.empty(config.trials)
+        for t, (f, ref) in enumerate(zip(fns, refs)):
+            if lattice is None:
+                nodes, w = calculus.gauss_legendre(res, config.dim)
+                val = float(w @ f(nodes))
+            else:
+                stencil = calculus.quadrature_stencil(tf.plan(lattice))
+                val = calculus.integrate(stencil, f(lattice.points))
+            errs[t] = abs(val - ref) / max(abs(ref), 1e-30)
+        records.append(_oracle_record(bench, config, family, res, npoints, degree, errs))
+    return records

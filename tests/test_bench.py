@@ -2,6 +2,8 @@ import numpy as np
 import pytest
 
 from cheblat import bench, calculus as calc, lattice as lat
+from oracles import (interp_convergence_oracle, quad_convergence_oracle,
+                     radial_function_oracle)
 
 
 # -------------------------------------------------------------- rotations
@@ -84,6 +86,46 @@ def test_test_function_rotation_acts_about_origin():
     assert np.allclose(fi(X), g(X), atol=1e-14)
 
 
+@pytest.mark.parametrize("dim", [2, 3])
+@pytest.mark.parametrize("kind", ["gaussian", "runge", "esssing"])
+def test_test_function_matches_row_reduction_bitwise(kind, dim):
+    rng = np.random.default_rng(dim)
+    R = bench.random_rotation(dim, rng)
+    c = np.array([0.3, 0.15, -0.2][:dim])
+    f, ref = bench.TestFunction(kind, c, R), radial_function_oracle(kind, c, R)
+    X = rng.uniform(-1, 1, (5000, dim)) * rng.choice([1e-170, 1e-3, 1.0, 30.0], (5000, 1))
+    X[0] = c @ R  # the center, where esssing is extended by zero
+    X[1], X[2] = np.nan, np.inf
+    with np.errstate(invalid="ignore"):
+        for Y in (X, X[:1], X[0], np.empty((0, dim))):
+            assert f(Y).view(np.int64).tolist() == ref(Y).view(np.int64).tolist()
+
+
+def test_test_function_checks_shapes():
+    with pytest.raises(bench.BenchError, match="center must have 3 entries"):
+        bench.TestFunction("gaussian", np.array([0.5]), np.eye(3))
+    with pytest.raises(bench.BenchError, match="center must have 2 entries"):
+        bench.TestFunction("gaussian", np.zeros(3), np.eye(2))
+    with pytest.raises(bench.BenchError, match="square"):
+        bench.TestFunction("gaussian", np.zeros(2), np.eye(2, 3))
+    with pytest.raises(bench.BenchError, match="square"):
+        bench.TestFunction("gaussian", np.zeros(2), np.ones(2))
+
+
+def test_test_function_keeps_read_only_copies():
+    R, c = np.eye(3), np.zeros(3)
+    f = bench.TestFunction("gaussian", c, R)
+    x = np.array([[0.0, 1.0, 0.0]])
+    before = f(x)
+    R[0, 1] = 5.0
+    c[1] = 1.0
+    assert f(x).tolist() == before.tolist() == [np.exp(-1.0)]
+    assert not f.rotation.flags.writeable and not f.center.flags.writeable
+    with pytest.raises(ValueError):
+        f.rotation[0, 1] = 5.0
+    assert bench.TestFunction("gaussian", [0, 0], [[1, 0], [0, 1]]).rotation.dtype == float
+
+
 # ------------------------------------------------------------ experiments
 
 
@@ -142,6 +184,34 @@ def test_mc_and_grid_metrics_agree():
     grid = bench.run_interp_convergence(_config(trials=2, metric="l2-grid", sample_budget=10_000))
     for a, b in zip(mc, grid):
         assert a.error_mean == pytest.approx(b.error_mean, rel=0.35)
+
+
+def test_interp_rejects_gauss_legendre_before_building(monkeypatch):
+    calls = []
+    monkeypatch.setattr(lat, "build", lambda *a, **k: calls.append(a))
+    with pytest.raises(bench.BenchError, match="quadrature runs only"):
+        bench.run_interp_convergence(_config(sweep={"padua": (40,), "gauss-legendre": (4,)}))
+    assert calls == []
+
+
+@pytest.mark.parametrize("dim, kind, metric", [
+    (2, "gaussian", "l2-mc"), (2, "esssing", "l2-grid"),
+    (3, "esssing", "l2-mc"), (3, "gaussian", "l2-grid"), (3, "runge", "l2-mc"),
+])
+def test_interp_records_match_family_outer_oracle(dim, kind, metric):
+    sweep = {"padua": (3, 6), "hex": (1, 2)} if dim == 2 else {"bcc": (2, 4), "cartesian": (3,)}
+    cfg = _config(sweep=sweep, dim=dim, kind=kind, metric=metric, sample_budget=700)
+    assert (bench.records_to_csv(bench.run_interp_convergence(cfg))
+            == bench.records_to_csv(interp_convergence_oracle(cfg)))
+
+
+@pytest.mark.parametrize("dim, kind", [(2, "gaussian"), (2, "esssing"), (3, "gaussian"), (3, "esssing")])
+def test_quad_records_match_family_outer_oracle(dim, kind):
+    sweep = ({"padua": (3, 6), "gauss-legendre": (3, 5), "hex": (2,)} if dim == 2
+             else {"bcc": (3, 4), "gauss-legendre": (2, 4), "cartesian": (3,)})
+    cfg = _config(sweep=sweep, dim=dim, kind=kind)
+    assert (bench.records_to_csv(bench.run_quad_convergence(cfg))
+            == bench.records_to_csv(quad_convergence_oracle(cfg)))
 
 
 def test_quad_records_and_gl_comparator():
